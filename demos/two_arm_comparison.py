@@ -11,8 +11,9 @@ completion over paired seeds, then compare accuracy against spend.
 
 import numpy as np
 
-from driftbeam import DecodeConfig, PhiConfig, ar_cot_decode, decode, flops, phi_decode
+from driftbeam import DecodeConfig, PhiConfig, flops
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
+from driftbeam.runner import decode_with
 
 task = SyntheticTask.two_arm(drift=0.05, noise_std=0.2, horizon=5)
 model = SyntheticModel(task)
@@ -31,12 +32,7 @@ config = DecodeConfig(
 
 
 def run(method, seed):
-    cfg = config.replace(seed=seed)
-    if method == "mfs":
-        return decode(model, prompt, cfg)
-    if method == "phi":
-        return phi_decode(model, prompt, cfg, PhiConfig(delta=0.8))
-    return ar_cot_decode(model, prompt, cfg)
+    return decode_with(method, model, prompt, config.replace(seed=seed), PhiConfig(delta=0.8))
 
 
 print(f"gold arm is {task.gold_label}; {len(list(seeds))} paired seeds\n")

@@ -4,7 +4,6 @@ from .base import (
     FINISH_DELIMITER,
     FINISH_EOS,
     FINISH_LENGTH,
-    Capabilities,
     SequenceModel,
     StepSample,
     quality_of,
@@ -23,7 +22,6 @@ __all__ = [
     "FINISH_DELIMITER",
     "FINISH_EOS",
     "FINISH_LENGTH",
-    "Capabilities",
     "SequenceModel",
     "StepSample",
     "quality_of",

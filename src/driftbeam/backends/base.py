@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import NumericInputError, PreconditionError
+from ..process import finite_mean
 
 FINISH_DELIMITER = "delimiter"
 FINISH_LENGTH = "length"
@@ -50,13 +51,7 @@ def quality_of(sample: StepSample) -> float:
     continuation it represents."""
     if not sample.token_logprobs:
         raise PreconditionError("cannot score a sample with no tokens")
-    return math.fsum(sample.token_logprobs) / len(sample.token_logprobs)
-
-
-@dataclass(frozen=True, slots=True)
-class Capabilities:
-    supports_logprobs: bool = True
-    max_context: int = 1 << 20
+    return finite_mean(sample.token_logprobs, "token_logprobs")
 
 
 class SequenceModel(ABC):
@@ -68,11 +63,7 @@ class SequenceModel(ABC):
     within the caller's batch, for backends that stratify proposals.
     """
 
-    capabilities: Capabilities = Capabilities()
     replayable: bool = True
-    # Whether concurrent in-flight calls are allowed to interleave. Replay
-    # backends consume recorded queues in order and must stay serialized.
-    concurrency_safe: bool = True
 
     @abstractmethod
     def propose_step(

@@ -27,7 +27,6 @@ from .base import (
     FINISH_DELIMITER,
     FINISH_EOS,
     FINISH_LENGTH,
-    Capabilities,
     SequenceModel,
     StepSample,
 )
@@ -53,8 +52,6 @@ class HttpCompletionsModel(SequenceModel):
         auth_header: str = "Authorization",
         auth_scheme: str = "Bearer",
         verify_tls: bool = True,
-        max_in_flight: Optional[int] = None,
-        max_context: int = 1 << 15,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -63,15 +60,13 @@ class HttpCompletionsModel(SequenceModel):
         self.max_retries = max_retries
         self.backoff = backoff
         self.verify_tls = verify_tls
-        self.capabilities = Capabilities(supports_logprobs=True, max_context=max_context)
         self._headers = {"Content-Type": "application/json"}
         if auth_token is not None:
             value = f"{auth_scheme} {auth_token}" if auth_scheme else auth_token
             self._headers[auth_header] = value
         # requests.Session is not safe to share across threads; keep one per
-        # thread and gate concurrency with an optional semaphore cap.
+        # thread.
         self._local = threading.local()
-        self._gate = threading.Semaphore(max_in_flight) if max_in_flight else None
         self._replayable = True
         self._lock = threading.Lock()
 
@@ -96,19 +91,13 @@ class HttpCompletionsModel(SequenceModel):
                 with self._lock:
                     self._replayable = False
             try:
-                if self._gate is not None:
-                    self._gate.acquire()
-                try:
-                    response = self._session().post(
-                        url,
-                        json=body,
-                        headers=self._headers,
-                        timeout=self.timeout,
-                        verify=self.verify_tls,
-                    )
-                finally:
-                    if self._gate is not None:
-                        self._gate.release()
+                response = self._session().post(
+                    url,
+                    json=body,
+                    headers=self._headers,
+                    timeout=self.timeout,
+                    verify=self.verify_tls,
+                )
             except requests.RequestException as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 attempt += 1

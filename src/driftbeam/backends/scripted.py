@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ..errors import ProtocolError
-from .base import Capabilities, SequenceModel, StepSample
+from .base import SequenceModel, StepSample
 
 _SEP = "\x1f"
 
@@ -73,10 +73,7 @@ def save_fixture(path: Union[str, Path], records: Iterable[dict]) -> None:
 class ScriptedModel(SequenceModel):
     """Replays recorded samples; raises ProtocolError on any unscripted query."""
 
-    capabilities = Capabilities(supports_logprobs=True, max_context=1 << 20)
     replayable = True
-    # Queue consumption is order-sensitive; callers must not interleave.
-    concurrency_safe = False
 
     def __init__(self, records: Union[str, Path, list[dict]]):
         if isinstance(records, (str, Path)):
@@ -130,15 +127,9 @@ class ScriptedModel(SequenceModel):
 class RecordingModel(SequenceModel):
     """Pass-through wrapper that captures fixture records from a live model."""
 
-    concurrency_safe = False
-
     def __init__(self, inner: SequenceModel):
         self.inner = inner
         self.records: list[dict] = []
-
-    @property
-    def capabilities(self) -> Capabilities:  # type: ignore[override]
-        return self.inner.capabilities
 
     @property
     def replayable(self) -> bool:  # type: ignore[override]

@@ -32,7 +32,6 @@ from .base import (
     FINISH_DELIMITER,
     FINISH_EOS,
     FINISH_LENGTH,
-    Capabilities,
     SequenceModel,
     StepSample,
 )
@@ -97,7 +96,6 @@ class SyntheticTask:
 class SyntheticModel(SequenceModel):
     """Pure generator over a SyntheticTask."""
 
-    capabilities = Capabilities(supports_logprobs=True, max_context=1 << 20)
     replayable = True
 
     def __init__(self, task: SyntheticTask):

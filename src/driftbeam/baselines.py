@@ -7,8 +7,11 @@ the same function call — so the two methods differ only in alignment
 weighting, the stop rule, and the absence of pruning. The plain
 autoregressive baseline completes the prompt in one shot.
 
-Both run through the identical loop skeleton and trace format as the drift
-decoder, tagged with their own method names, which is what makes token and
+The consensus decoder runs the drift decoder's loop, expand -> score and
+stop -> select, with no prune phase. Its per-step judge clusters the
+rollout answers once and takes both the alignment scores and the consensus
+stop from that clustering. Both baselines emit the drift decoder's trace
+format, tagged with their own method names, which is what makes token and
 FLOPs comparisons between the three methods meaningful.
 """
 
@@ -21,6 +24,7 @@ from typing import Optional, Sequence
 from .backends.base import SequenceModel
 from .engine import (
     DEFAULT_ANSWER_PATTERN,
+    STOP_MAX_STEPS,
     TAG_COMPLETE,
     BeamState,
     Candidate,
@@ -61,13 +65,6 @@ class PhiConfig:
             raise PreconditionError("alignment_weight must be finite")
         if self.cluster_distance < 0 or not math.isfinite(self.cluster_distance):
             raise PreconditionError("cluster_distance must be finite >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class PhiScore:
-    advantage: float
-    alignment: float
-    combined: float
 
 
 def combine_scores(advantage: float, alignment: float, config: PhiConfig) -> float:
@@ -133,15 +130,20 @@ def phi_alignment(
     return alignment
 
 
+def _consensus(alignment: Sequence[float], config: PhiConfig) -> bool:
+    # Every share is len(cluster) / total, and a correctly rounded division
+    # by a fixed total is monotonic, so the largest share is exactly the
+    # largest cluster's size over the candidate count.
+    return max(alignment) >= config.delta
+
+
 def phi_stop(
     candidates: Sequence[Candidate],
     config: PhiConfig,
     answer_pattern: str = DEFAULT_ANSWER_PATTERN,
 ) -> bool:
     """True iff the largest cluster's fraction reaches delta."""
-    clusters = cluster_candidates(candidates, config, answer_pattern)
-    largest = max(len(members) for members in clusters)
-    return largest / len(candidates) >= config.delta
+    return _consensus(phi_alignment(candidates, config, answer_pattern), config)
 
 
 def phi_decode(
@@ -149,8 +151,6 @@ def phi_decode(
     task_prompt: str,
     config: DecodeConfig,
     phi: Optional[PhiConfig] = None,
-    *,
-    workers: int = 1,
 ) -> DecodeResult:
     """Foresight decode scored by Advantage + Alignment, stopped by consensus.
 
@@ -159,36 +159,30 @@ def phi_decode(
     """
     phi = phi or PhiConfig()
 
-    def scorer(candidates: Sequence[Candidate], beam: BeamState) -> tuple[list[float], dict]:
+    def judge(
+        candidates: Sequence[Candidate], beam: BeamState, step: int
+    ) -> tuple[list[float], dict, Optional[str]]:
         advantages = [drift for _, drift in score_candidates(candidates, beam)]
         alignments = phi_alignment(candidates, phi, config.answer_pattern)
         combined = [
             combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)
         ]
-        return combined, {
-            "advantage": advantages,
-            "alignment": alignments,
-            "combined": combined,
-        }
-
-    def stopper(
-        candidates: Sequence[Candidate], scores: Sequence[float], step: int
-    ) -> tuple[bool, Optional[str]]:
-        if phi_stop(candidates, phi, config.answer_pattern):
-            return True, STOP_CONSENSUS
-        if step >= config.max_steps:
-            return True, "max_steps"
-        return False, None
+        if _consensus(alignments, phi):
+            reason = STOP_CONSENSUS
+        elif step >= config.max_steps:
+            reason = STOP_MAX_STEPS
+        else:
+            reason = None
+        fields = {"advantage": advantages, "alignment": alignments, "combined": combined}
+        return combined, fields, reason
 
     return run_loop(
         model,
         task_prompt,
         config,
         method="phi",
-        scorer=scorer,
-        stopper=stopper,
+        judge=judge,
         prune=False,
-        workers=workers,
     )
 
 

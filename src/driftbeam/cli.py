@@ -23,14 +23,15 @@ from typing import Optional
 
 import yaml
 
-from .baselines import ar_cot_decode, phi_decode
-from .engine import decode
 from .errors import DriftbeamError
 from .metrics import RunMetrics, canonical_json, compare_runs
 from .process import trajectory_statistics
 from .runner import (
+    BACKEND_KINDS,
+    METHODS,
     PRESETS,
     RunConfig,
+    decode_with,
     execute_run,
     parse_config,
     sweep,
@@ -48,10 +49,10 @@ def _epsilon(value: str) -> Optional[float]:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML run config; flags override its fields")
-    parser.add_argument("--method", choices=("mfs", "phi", "ar-cot"))
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--backend", choices=("synthetic", "scripted", "http"))
+    parser.add_argument("--backend", choices=BACKEND_KINDS)
     parser.add_argument("--fixture", help="scripted backend fixture (JSONL)")
     parser.add_argument("--base-url", help="http backend endpoint base")
     parser.add_argument("--model", help="http backend model name")
@@ -154,12 +155,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         raise DriftbeamError("decode requires --prompt or --prompt-file")
     model = config.backend.make_model()
     decode_cfg = config.decode.replace(seed=config.seed)
-    if config.method == "mfs":
-        result = decode(model, prompt, decode_cfg)
-    elif config.method == "phi":
-        result = phi_decode(model, prompt, decode_cfg, config.phi)
-    else:
-        result = ar_cot_decode(model, prompt, decode_cfg)
+    result = decode_with(config.method, model, prompt, decode_cfg, config.phi)
     payload = result.to_dict()
     if args.trace:
         with open(args.trace, "wb") as handle:

@@ -8,15 +8,15 @@ and deliberation halts when the best available drift is statistically
 indistinguishable from zero. Survivors are completed autoregressively and
 majority-voted.
 
-Each iteration runs expand -> score -> check_stop -> select -> prune, and
-the loop exits after the iteration in which the stop fired (the converged
+Each iteration runs expand -> score and stop -> select -> prune, and the
+loop exits after the iteration in which the stop fired (the converged
 step's selection still lands in the beam). Every intermediate quantity is
 emitted on an append-only trace (one JSON-ready dict per event) so runs can
 be audited or re-plotted without rerunning the model.
 
 Determinism: all randomness flows through named substreams of the config
-seed, derived per (kind, step, path, candidate, sample), so neither thread
-scheduling nor worker count can change a single bit of the result.
+seed, derived per (kind, step, path, candidate, sample), so the result is
+a pure function of the config and the backend's replies.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from .backends.base import (
     FINISH_EOS,
     SequenceModel,
-    StepSample,
     quality_of,
 )
 from .errors import (
@@ -44,11 +42,11 @@ from .errors import (
 )
 from .process import (
     AdaptiveThreshold,
-    DoobEstimate,
     QualityTrajectory,
     adaptive_threshold,
     deficit,
     estimate_predictable_advantage,
+    finite_mean,
     has_converged,
     should_prune,
 )
@@ -155,12 +153,11 @@ class Candidate:
     finish_reason: str
     rollout_texts: tuple[str, ...]
     rollout_qualities: tuple[float, ...]
-    estimate: DoobEstimate
 
     @property
     def quality(self) -> float:
         """Mean rollout quality; the value appended to the trajectory."""
-        return math.fsum(self.rollout_qualities) / len(self.rollout_qualities)
+        return finite_mean(self.rollout_qualities, "rollout_qualities")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +185,6 @@ class BeamPath:
 class BeamState:
     paths: list[BeamPath]
     step_index: int = 0
-    prune_log: list[PruneRecord] = field(default_factory=list)
-    stopped: bool = False
     stop_reason: Optional[str] = None
     tokens_generated: int = 0
     rollout_tokens: int = 0
@@ -269,7 +264,7 @@ def sample_without_replacement(
     """k sequential weighted draws, renormalizing after each removal.
 
     Draw order is fixed: target u * (remaining mass), then walk the
-    remaining items in original index order accumulating with fsum.
+    remaining items in original index order accumulating the running sum.
     """
     if k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
@@ -285,7 +280,7 @@ def sample_without_replacement(
         acc = 0.0
         chosen = remaining[-1]
         for pos, index in enumerate(remaining):
-            acc = math.fsum([acc, masses[pos]])
+            acc += masses[pos]
             if target < acc:
                 chosen = index
                 break
@@ -303,75 +298,56 @@ def expand_beam(
     config: DecodeConfig,
     *,
     step_index: Optional[int] = None,
-    workers: int = 1,
 ) -> list[Candidate]:
     """Propose N candidate steps per live path, each with foresight rollouts.
 
     The candidate budget shrinks with the beam: pruning survivors keep their
-    N candidates each, so the per-step total stays <= M*N. All substreams
-    are derived before any model call, and results are folded in job order,
-    so worker count cannot influence the outcome.
+    N candidates each, so the per-step total stays <= M*N.
     """
     step = beam.step_index + 1 if step_index is None else step_index
     live = beam.live_paths()
     if not live:
         raise DecodeStalledError("expand_beam called with no live paths")
 
-    jobs = []
+    results = []
     for path in live:
         for cand_index in range(config.rollouts_per_candidate):
-            propose_rng = substream(config.seed, TAG_PROPOSE, step, path.path_id, cand_index, 0)
-            rollout_rngs = [
-                substream(config.seed, TAG_ROLLOUT, step, path.path_id, cand_index, s)
-                for s in range(config.rollout_samples)
-            ]
-            jobs.append((path, cand_index, propose_rng, rollout_rngs))
-
-    def run_job(job) -> tuple[StepSample, list[StepSample]]:
-        path, cand_index, propose_rng, rollout_rngs = job
-        try:
-            step_sample = model.propose_step(
-                path.prefix,
-                propose_rng,
-                max_tokens=config.max_step_tokens,
-                stop=config.step_delimiter,
-                sample_index=cand_index,
-            )
-            lookahead_prefix = path.prefix + step_sample.text
-            rollouts = [
-                model.rollout(lookahead_prefix, config.rollout_depth, rng)
-                for rng in rollout_rngs
-            ]
-        except TransportError as exc:
-            raise TransportError(
-                f"path {path.path_id} candidate {cand_index}: {exc}"
-            ) from exc
-        return step_sample, rollouts
-
-    concurrent = workers > 1 and getattr(model, "concurrency_safe", True)
-    if concurrent:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
+            try:
+                step_sample = model.propose_step(
+                    path.prefix,
+                    substream(config.seed, TAG_PROPOSE, step, path.path_id, cand_index, 0),
+                    max_tokens=config.max_step_tokens,
+                    stop=config.step_delimiter,
+                    sample_index=cand_index,
+                )
+                lookahead_prefix = path.prefix + step_sample.text
+                rollouts = [
+                    model.rollout(
+                        lookahead_prefix,
+                        config.rollout_depth,
+                        substream(config.seed, TAG_ROLLOUT, step, path.path_id, cand_index, s),
+                    )
+                    for s in range(config.rollout_samples)
+                ]
+            except TransportError as exc:
+                raise TransportError(
+                    f"path {path.path_id} candidate {cand_index}: {exc}"
+                ) from exc
+            results.append((path, cand_index, step_sample, rollouts))
 
     # Pooled first-expand mean initializes the quality process: the prompt's
     # own value F_0 is the average of everything foresight saw from it.
     fresh_parents = [p for p in live if len(p.trajectory.points) == 0]
     if fresh_parents:
-        all_qualities = [
-            quality_of(r) for (_, rollouts) in results for r in rollouts
-        ]
-        baseline = math.fsum(all_qualities) / len(all_qualities)
+        baseline = finite_mean(
+            [quality_of(r) for (_, _, _, rollouts) in results for r in rollouts],
+            "first-step rollout qualities",
+        )
         for parent in fresh_parents:
             parent.trajectory.append(0, baseline)
 
     candidates: list[Candidate] = []
-    for (path, cand_index, _, _), (step_sample, rollouts) in zip(jobs, results):
-        qualities = tuple(quality_of(r) for r in rollouts)
-        estimate = estimate_predictable_advantage(
-            path.trajectory.latest_quality, qualities
-        )
+    for path, cand_index, step_sample, rollouts in results:
         candidates.append(
             Candidate(
                 parent_path_id=path.path_id,
@@ -380,8 +356,7 @@ def expand_beam(
                 step_tokens=len(step_sample.token_logprobs),
                 finish_reason=step_sample.finish_reason,
                 rollout_texts=tuple(r.text for r in rollouts),
-                rollout_qualities=qualities,
-                estimate=estimate,
+                rollout_qualities=tuple(quality_of(r) for r in rollouts),
             )
         )
         beam.tokens_generated += len(step_sample.token_logprobs)
@@ -415,14 +390,14 @@ def score_candidates(
 
 
 def check_stop(
-    scored: Sequence[tuple[Candidate, float]],
+    drifts: Sequence[float],
     config: DecodeConfig,
     step_index: int,
 ) -> tuple[bool, Optional[str]]:
     """Convergence test over the best available drift, plus the hard cap."""
-    if not scored:
+    if not drifts:
         raise PreconditionError("check_stop over empty candidates")
-    max_drift = max(drift for _, drift in scored)
+    max_drift = max(drifts)
     if epsilon_enabled(config.epsilon_stop) and has_converged(max_drift, config.epsilon_stop):
         return True, STOP_CONVERGED
     if step_index >= config.max_steps:
@@ -516,7 +491,6 @@ def prune_beam(beam: BeamState, config: DecodeConfig) -> tuple[
                 deficit_value=deficit_value,
                 threshold=threshold,
             )
-            beam.prune_log.append(record)
             pruned.append(record)
     return threshold, deficits, pruned
 
@@ -582,8 +556,9 @@ def finalize(
 
 # -- full loop ----------------------------------------------------------------
 
-Scorer = Callable[[Sequence[Candidate], BeamState], tuple[list[float], dict]]
-Stopper = Callable[[Sequence[Candidate], Sequence[float], int], tuple[bool, Optional[str]]]
+# Scores one step's candidates and decides whether deliberation stops:
+# (candidates, beam, step) -> (scores, score trace fields, stop reason or None).
+Judge = Callable[[Sequence[Candidate], BeamState, int], tuple[list[float], dict, Optional[str]]]
 
 
 def run_loop(
@@ -592,15 +567,13 @@ def run_loop(
     config: DecodeConfig,
     *,
     method: str,
-    scorer: Scorer,
-    stopper: Stopper,
+    judge: Judge,
     prune: bool,
-    workers: int = 1,
 ) -> DecodeResult:
-    """Shared expand/score/stop/select/prune skeleton.
+    """Shared expand/judge/select/prune skeleton.
 
-    Scoring and stopping are injected so foresight variants (consensus
-    stopping, combined scores) reuse the identical loop mechanics; the
+    The judge is injected so foresight variants (consensus stopping,
+    combined scores) reuse the identical loop mechanics; the
     drift-threshold decoder is the `decode` wrapper below.
     """
     model = model.fresh()
@@ -608,11 +581,10 @@ def run_loop(
     trace: list[dict] = []
     while True:
         if not beam.live_paths():
-            beam.stopped = True
             beam.stop_reason = STOP_EXHAUSTED
             break
         step = beam.step_index + 1
-        candidates = expand_beam(model, beam, config, step_index=step, workers=workers)
+        candidates = expand_beam(model, beam, config, step_index=step)
         trace.append({
             "event": "expand",
             "method": method,
@@ -629,9 +601,8 @@ def run_loop(
                 for c in candidates
             ],
         })
-        scores, score_fields = scorer(candidates, beam)
+        scores, score_fields, reason = judge(candidates, beam, step)
         trace.append({"event": "score", "method": method, "step": step, **score_fields})
-        stop, reason = stopper(candidates, scores, step)
         selections = select_beam(
             list(zip(candidates, scores)),
             beam,
@@ -669,8 +640,7 @@ def run_loop(
                 "deficits": [[pid, d] for pid, d in deficits],
                 "pruned": [r.path_id for r in pruned],
             })
-        if stop:
-            beam.stopped = True
+        if reason is not None:
             beam.stop_reason = reason
             break
     trace.append({
@@ -688,28 +658,21 @@ def decode(
     model: SequenceModel,
     task_prompt: str,
     config: DecodeConfig,
-    *,
-    workers: int = 1,
 ) -> DecodeResult:
     """Drift-guided beam decode with adaptive pruning and convergence stop."""
 
-    def scorer(candidates: Sequence[Candidate], beam: BeamState) -> tuple[list[float], dict]:
-        scored = score_candidates(candidates, beam)
-        drifts = [drift for _, drift in scored]
-        return drifts, {"drifts": drifts}
-
-    def stopper(
-        candidates: Sequence[Candidate], scores: Sequence[float], step: int
-    ) -> tuple[bool, Optional[str]]:
-        return check_stop(list(zip(candidates, scores)), config, step)
+    def judge(
+        candidates: Sequence[Candidate], beam: BeamState, step: int
+    ) -> tuple[list[float], dict, Optional[str]]:
+        drifts = [drift for _, drift in score_candidates(candidates, beam)]
+        _, reason = check_stop(drifts, config, step)
+        return drifts, {"drifts": drifts}, reason
 
     return run_loop(
         model,
         task_prompt,
         config,
         method="mfs",
-        scorer=scorer,
-        stopper=stopper,
+        judge=judge,
         prune=config.prune_enabled,
-        workers=workers,
     )

@@ -36,9 +36,5 @@ class ProtocolError(DriftbeamError, RuntimeError):
     Never silently coerced."""
 
 
-class CapacityError(DriftbeamError, RuntimeError):
-    """The prefix exceeds the backend's context limit."""
-
-
 class DecodeStalledError(DriftbeamError, RuntimeError):
     """The decode loop could not produce a single candidate."""

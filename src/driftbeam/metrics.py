@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DatasetError, PreconditionError
 
@@ -175,14 +175,6 @@ class RunMetrics:
             total=data["total"],
             per_example=tuple(PerExample.from_dict(e) for e in data["per_example"]),
         )
-
-
-def accuracy(per_example: Sequence[PerExample]) -> float:
-    """Fraction graded correct under normalized exact match."""
-    if not per_example:
-        raise PreconditionError("accuracy over an empty example set")
-    hits = sum(1 for e in per_example if e.correct)
-    return hits / len(per_example)
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,8 @@ convergence test on the best available drift, and pooled statistics over
 whole advantage trajectories.
 
 Reductions use math.fsum (exactly rounded) so results do not depend on
-summation order or worker count.
+summation order. A reduction whose result leaves the float range raises
+NumericInputError naming its input, never OverflowError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "should_prune",
     "has_converged",
     "trajectory_statistics",
-    "format_advantage_comparison",
+    "finite_mean",
 ]
 
 
@@ -51,16 +52,24 @@ def _check_all_finite(values: Sequence[float], name: str) -> list[float]:
     return out
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+def finite_mean(values: Sequence[float], name: str) -> float:
+    """Exactly rounded mean of finite values; a sum beyond the float range
+    raises NumericInputError naming `name` instead of OverflowError."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise NumericInputError(f"{name} sum overflows the float range") from None
 
 
-def _population_std(values: Sequence[float], mean: float) -> float:
+def _variance(values: Sequence[float], mean: float, name: str) -> float:
     # Short-circuit the constant case so an all-equal beam yields sigma == 0.0
     # exactly (fsum of identical values still rounds, e.g. mean of three 0.1s).
     if all(v == values[0] for v in values):
         return 0.0
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+    try:
+        return math.fsum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        raise NumericInputError(f"{name} squared deviations overflow the float range") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,10 +169,10 @@ def estimate_predictable_advantage(
         raise PreconditionError("rollout_qualities must be non-empty")
     _check_finite(previous_quality, "previous_quality")
     qualities = _check_all_finite(rollout_qualities, "rollout_qualities")
-    mean = _mean(qualities)
+    mean = finite_mean(qualities, "rollout_qualities")
     return DoobEstimate(
         drift=mean - previous_quality,
-        residual_std=_population_std(qualities, mean),
+        residual_std=math.sqrt(_variance(qualities, mean, "rollout_qualities")),
         sample_count=len(qualities),
     )
 
@@ -187,8 +196,8 @@ def adaptive_threshold(scores: Sequence[float], lambda1: float) -> AdaptiveThres
     if lambda1 < 0:
         raise PreconditionError(f"lambda1 must be >= 0, got {lambda1}")
     values = _check_all_finite(scores, "scores")
-    mu = _mean(values)
-    sigma = _population_std(values, mu)
+    mu = finite_mean(values, "scores")
+    sigma = math.sqrt(_variance(values, mu, "scores"))
     return AdaptiveThreshold(mu=mu, sigma=sigma, lambda1=lambda1, value=mu + lambda1 * sigma)
 
 
@@ -231,19 +240,10 @@ def trajectory_statistics(
         if len(seq) == 0:
             raise PreconditionError(f"advantage_sequences[{k}] is empty")
         pooled.extend(_check_all_finite(seq, f"advantage_sequences[{k}]"))
-    mean = _mean(pooled)
-    if all(v == pooled[0] for v in pooled):
-        variance = 0.0
-    else:
-        variance = math.fsum((v - mean) ** 2 for v in pooled) / len(pooled)
+    mean = finite_mean(pooled, "advantages")
     return TrajectoryStats(
-        mean_advantage=mean, variance=variance, trajectory_count=len(sequences)
+        mean_advantage=mean,
+        variance=_variance(pooled, mean, "advantages"),
+        trajectory_count=len(sequences),
     )
 
-
-def format_advantage_comparison(a: TrajectoryStats, b: TrajectoryStats) -> str:
-    """Render two trajectory-stat groups as "(mean, variance) vs (mean, variance)"."""
-    return (
-        f"({a.mean_advantage:.3f}, {a.variance:.3f}) vs "
-        f"({b.mean_advantage:.3f}, {b.variance:.3f})"
-    )

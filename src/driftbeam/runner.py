@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -44,6 +43,7 @@ from .errors import DriftbeamError, PreconditionError
 from .metrics import PerExample, RunMetrics, canonical_json, emit_report
 
 METHODS = ("mfs", "phi", "ar-cot")
+BACKEND_KINDS = ("synthetic", "scripted", "http")
 
 # Per-model, per-benchmark pruning coefficients; beam and rollout counts are
 # 8/8 throughout. Addressed as "<model>/<benchmark>".
@@ -98,8 +98,8 @@ class BackendSpec:
     auth_token: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("synthetic", "scripted", "http"):
-            raise PreconditionError(f"backend kind must be synthetic|scripted|http, got {self.kind!r}")
+        if self.kind not in BACKEND_KINDS:
+            raise PreconditionError(f"backend kind must be in {BACKEND_KINDS}, got {self.kind!r}")
         if self.model_params <= 0:
             raise PreconditionError("model_params must be > 0")
         if self.kind == "scripted" and not self.fixture:
@@ -388,16 +388,35 @@ def _resolve_instances(
     return [(inst, None) for inst in dataset]
 
 
+def decode_with(
+    method: str,
+    model: SequenceModel,
+    prompt: str,
+    config: DecodeConfig,
+    phi: Optional[PhiConfig] = None,
+) -> DecodeResult:
+    """Decode one prompt with the named method; the one place a method name
+    picks a decoder.
+
+    The decoders are called by their module-level names at call time, not
+    kept in a table, so code that rebinds those names (the span recorder in
+    bench/recorder.py) sees every decode.
+    """
+    if method == "mfs":
+        return decode(model, prompt, config)
+    if method == "phi":
+        return phi_decode(model, prompt, config, phi)
+    if method == "ar-cot":
+        return ar_cot_decode(model, prompt, config)
+    raise PreconditionError(f"method must be one of {METHODS}, got {method!r}")
+
+
 def _decode_one(
     config: RunConfig, instance: TaskInstance, task: Optional[SyntheticTask], index: int
 ) -> DecodeResult:
     model = config.backend.make_model(task)
     decode_cfg = config.decode.replace(seed=derive_instance_seed(config.seed, index))
-    if config.method == "mfs":
-        return decode(model, instance.prompt, decode_cfg)
-    if config.method == "phi":
-        return phi_decode(model, instance.prompt, decode_cfg, config.phi)
-    return ar_cot_decode(model, instance.prompt, decode_cfg)
+    return decode_with(config.method, model, instance.prompt, decode_cfg, config.phi)
 
 
 @dataclass(frozen=True, slots=True)

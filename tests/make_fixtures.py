@@ -26,22 +26,15 @@ from fixture_specs import (  # noqa: E402
     phi_config_for,
 )
 
-from driftbeam import ar_cot_decode, decode, phi_decode  # noqa: E402
 from driftbeam.backends.scripted import ScriptedModel, save_fixture  # noqa: E402
 from driftbeam.metrics import canonical_json  # noqa: E402
+from driftbeam.runner import decode_with  # noqa: E402
 
 
 def run_method(method: str, spec, records) -> bytes:
     model = ScriptedModel(records)
     config = decode_config_for(spec)
-    if method == "mfs":
-        result = decode(model, spec.prompt, config)
-    elif method == "phi":
-        result = phi_decode(model, spec.prompt, config, phi_config_for(spec))
-    elif method == "ar-cot":
-        result = ar_cot_decode(model, spec.prompt, config)
-    else:
-        raise ValueError(method)
+    result = decode_with(method, model, spec.prompt, config, phi_config_for(spec))
     return canonical_json(result.to_dict())
 
 

@@ -19,7 +19,6 @@ from driftbeam import (
     RunMetrics,
     ScriptedModel,
     adaptive_threshold,
-    ar_cot_decode,
     canonical_json,
     compare_runs,
     decode,
@@ -33,10 +32,10 @@ from driftbeam import (
 )
 from driftbeam.backends import load_fixture
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
-from driftbeam.engine import BeamPath, BeamState, Candidate, DoobEstimate
+from driftbeam.engine import BeamPath, BeamState, Candidate
 from driftbeam.metrics import PerExample
 from driftbeam.process import QualityTrajectory
-from driftbeam.runner import execute_run, parse_config, write_outputs
+from driftbeam.runner import decode_with, execute_run, parse_config, write_outputs
 
 from fixture_specs import METHODS, SPECS, decode_config_for, phi_config_for
 
@@ -48,11 +47,7 @@ def record(number: int, detail: str) -> None:
 def replay(spec, method, *, epsilon_stop=1e-6):
     model = ScriptedModel(load_fixture(spec.fixture_path))
     config = decode_config_for(spec, epsilon_stop=epsilon_stop)
-    if method == "mfs":
-        return decode(model, spec.prompt, config)
-    if method == "phi":
-        return phi_decode(model, spec.prompt, config, phi_config_for(spec))
-    return ar_cot_decode(model, spec.prompt, config)
+    return decode_with(method, model, spec.prompt, config, phi_config_for(spec))
 
 
 def test_criterion_01_doob_estimator_consistency():
@@ -262,7 +257,6 @@ def test_criterion_09_baseline_equivalence():
             finish_reason="delimiter",
             rollout_texts=(f"mull\nAnswer: a{label}",),
             rollout_qualities=(0.0,),
-            estimate=DoobEstimate(drift=0.0, residual_std=0.0, sample_count=1),
         )
 
     cases = 0

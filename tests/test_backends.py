@@ -207,9 +207,6 @@ class TestScripted:
         with pytest.raises(ProtocolError):
             model.propose_step("Q\n", rng_for(0), max_tokens=8)  # queue exhausted
 
-    def test_marked_not_concurrency_safe(self):
-        assert ScriptedModel(self._records()).concurrency_safe is False
-
     def test_fixture_io_roundtrip(self, tmp_path):
         path = tmp_path / "fx.jsonl"
         save_fixture(path, self._records())

@@ -24,7 +24,7 @@ from driftbeam.baselines import (
     phi_alignment,
     phi_stop,
 )
-from driftbeam.engine import Candidate, DoobEstimate
+from driftbeam.engine import Candidate
 from driftbeam.process import estimate_predictable_advantage
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -41,7 +41,6 @@ def mk_candidate(answer=None, quality=0.0, index=0):
         finish_reason="delimiter",
         rollout_texts=(text,),
         rollout_qualities=(quality,),
-        estimate=DoobEstimate(drift=0.0, residual_std=0.0, sample_count=1),
     )
 
 
@@ -123,7 +122,6 @@ class TestClustering:
             finish_reason="delimiter",
             rollout_texts=("Answer: A", "Answer: B"),
             rollout_qualities=(0.0, 0.0),
-            estimate=DoobEstimate(0.0, 0.0, 2),
         )
         clusters = cluster_candidates([cand, mk_candidate("B")], PhiConfig(),
                                       DecodeConfig().answer_pattern)

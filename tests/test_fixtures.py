@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from driftbeam import ScriptedModel, ar_cot_decode, canonical_json, decode, phi_decode
+from driftbeam import ScriptedModel, canonical_json
 from driftbeam.backends import load_fixture
+from driftbeam.runner import decode_with
 
 from fixture_specs import METHODS, SPECS, decode_config_for, phi_config_for
 
@@ -18,11 +19,7 @@ from fixture_specs import METHODS, SPECS, decode_config_for, phi_config_for
 def replay(spec, method):
     model = ScriptedModel(load_fixture(spec.fixture_path))
     config = decode_config_for(spec)
-    if method == "mfs":
-        return decode(model, spec.prompt, config)
-    if method == "phi":
-        return phi_decode(model, spec.prompt, config, phi_config_for(spec))
-    return ar_cot_decode(model, spec.prompt, config)
+    return decode_with(method, model, spec.prompt, config, phi_config_for(spec))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)

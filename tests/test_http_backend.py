@@ -186,7 +186,7 @@ class TestProtocolErrors:
 
 class TestConcurrency:
     def test_parallel_requests_complete(self, server):
-        model = make_model(server, max_in_flight=2)
+        model = make_model(server)
         results = []
         errors = []
 

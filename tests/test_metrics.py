@@ -12,7 +12,6 @@ from driftbeam import (
     PerExample,
     PreconditionError,
     RunMetrics,
-    accuracy,
     answers_match,
     canonical_json,
     compare_runs,
@@ -132,12 +131,6 @@ class TestRunMetrics:
     def test_roundtrip(self):
         metrics = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123)
         assert RunMetrics.from_dict(metrics.to_dict()) == metrics
-
-    def test_accuracy_helper(self):
-        examples = [ex("a", "1", "1"), ex("b", "2", "3"), ex("c", "4", "4")]
-        assert accuracy(examples) == pytest.approx(2 / 3)
-        with pytest.raises(PreconditionError):
-            accuracy([])
 
 
 class TestCompareRuns:

@@ -23,7 +23,6 @@ from driftbeam import (
     should_prune,
     trajectory_statistics,
 )
-from driftbeam.process import format_advantage_comparison
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -49,6 +48,14 @@ class TestDriftEstimate:
     def test_empty_rollouts_rejected(self):
         with pytest.raises(PreconditionError):
             estimate_predictable_advantage(0.0, [])
+
+    @pytest.mark.parametrize("qualities", [
+        [-1e308, -1e308],  # the sum leaves the float range
+        [1e200, -1e200],  # a squared deviation does
+    ])
+    def test_overflow_is_a_named_numeric_error(self, qualities):
+        with pytest.raises(NumericInputError, match="rollout_qualities"):
+            estimate_predictable_advantage(0.0, qualities)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericInputError):
@@ -209,8 +216,3 @@ class TestTrajectoryStatistics:
             trajectory_statistics([])
         with pytest.raises(PreconditionError):
             trajectory_statistics([[0.1], []])
-
-    def test_format_comparison(self):
-        a = trajectory_statistics([[0.1, 0.3]])
-        b = trajectory_statistics([[0.0]])
-        assert format_advantage_comparison(a, b) == "(0.200, 0.010) vs (0.000, 0.000)"

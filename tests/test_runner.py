@@ -15,6 +15,7 @@ from driftbeam.runner import (
     BackendSpec,
     RunConfig,
     config_to_yaml,
+    decode_with,
     derive_instance_seed,
     execute_run,
     parse_config,
@@ -235,6 +236,10 @@ class TestExecuteRun:
         for _, trace_payload in ar_out.traces:
             assert trace_payload["stop_reason"] == "completed"
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(PreconditionError, match="method must be one of"):
+            decode_with("beam", BackendSpec().make_model(), "P\n", DecodeConfig())
+
     def test_rollout_token_exclusion(self):
         with_rollouts = execute_run(fast_config(seed=5))
         without = execute_run(fast_config(seed=5, count_rollout_tokens=False))
@@ -265,6 +270,42 @@ class TestExecuteRun:
         assert len(output.failures) == 1
         assert output.failures[0][0] == "t2"
         assert "ProtocolError" in output.failures[0][1]
+
+    def test_overflowing_logprobs_fail_one_instance(self, tmp_path):
+        # Finite logprobs whose sum leaves the float range must fail only
+        # their own task, under a named error, not abort the run.
+        dataset_path = tmp_path / "tasks.jsonl"
+        dataset_path.write_text(
+            '{"id": "t1", "prompt": "P1\\n", "answer": "4"}\n'
+            '{"id": "t2", "prompt": "P2\\n", "answer": "4"}\n'
+        )
+        records = []
+        for prompt, rollout_logprobs in (("P1\n", [-0.2, -0.2]), ("P2\n", [-1e308, -1e308])):
+            step = prompt + "consider arm A\n"
+            for kind, prefix, text, logprobs, finish in (
+                ("propose", prompt, "consider arm A\n", [-0.1], "delimiter"),
+                ("rollout", step, "Answer: 4", rollout_logprobs, "length"),
+                ("complete", step, "Answer: 4", [-0.1], "end-of-sequence"),
+            ):
+                records.append({
+                    "prefix_hash": fixture_key(kind, prefix),
+                    "text": text,
+                    "logprobs": logprobs,
+                    "finish_reason": finish,
+                })
+        fixture_path = tmp_path / "fx.jsonl"
+        save_fixture(fixture_path, records)
+        config = parse_config({
+            "dataset": str(dataset_path),
+            "backend": {"kind": "scripted", "fixture": str(fixture_path)},
+            "decode": {"beam_size": 1, "rollouts_per_candidate": 1, "max_steps": 1},
+        })
+        output = execute_run(config)
+        assert output.metrics.total == 1
+        assert output.metrics.correct == 1
+        assert [tid for tid, _ in output.failures] == ["t2"]
+        assert output.failures[0][1].startswith("NumericInputError: ")
+        assert "token_logprobs" in output.failures[0][1]
 
     def test_synthetic_dataset_needs_synthetic_backend(self, tmp_path):
         fixture_path = tmp_path / "fx.jsonl"
