@@ -15,13 +15,25 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import NumericInputError, PreconditionError
+from ..errors import NumericInputError, PreconditionError, ProtocolError
 from ..process import finite_mean
 
 FINISH_DELIMITER = "delimiter"
 FINISH_LENGTH = "length"
 FINISH_EOS = "end-of-sequence"
 FINISH_REASONS = (FINISH_DELIMITER, FINISH_LENGTH, FINISH_EOS)
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def logprobs_from(values, where: str) -> tuple[float, ...]:
+    """A backend's logprob list as floats. Anything but a list of JSON
+    numbers (a null, a nested list, a string, a bool) is a ProtocolError
+    naming `where`, never a TypeError or a silent coercion."""
+    if not (isinstance(values, (list, tuple)) and _NUMBER_TYPES.issuperset(map(type, values))):
+        raise ProtocolError(f"{where} must be a list of numbers, got {values!r:.80}")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True, slots=True)

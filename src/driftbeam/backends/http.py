@@ -29,6 +29,7 @@ from .base import (
     FINISH_LENGTH,
     SequenceModel,
     StepSample,
+    logprobs_from,
 )
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -126,9 +127,7 @@ class HttpCompletionsModel(SequenceModel):
             completion_tokens = payload["usage"]["completion_tokens"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completions response: missing {exc}") from exc
-        if token_logprobs is None:
-            raise ProtocolError("server omitted token_logprobs")
-        logprobs = tuple(float(x) for x in token_logprobs)
+        logprobs = logprobs_from(token_logprobs, "token_logprobs")
         if completion_tokens != len(logprobs):
             raise ProtocolError(
                 f"usage.completion_tokens={completion_tokens} disagrees with "

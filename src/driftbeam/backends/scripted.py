@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ..errors import ProtocolError
-from .base import SequenceModel, StepSample
+from .base import SequenceModel, StepSample, logprobs_from
 
 _SEP = "\x1f"
 
@@ -82,7 +82,7 @@ class ScriptedModel(SequenceModel):
         for record in records:
             sample = StepSample(
                 record["text"],
-                tuple(float(x) for x in record["logprobs"]),
+                logprobs_from(record["logprobs"], "logprobs"),
                 record["finish_reason"],
             )
             self._queues[record["prefix_hash"]].append(sample)

@@ -41,7 +41,7 @@ from .process import estimate_predictable_advantage
 STOP_CONSENSUS = "consensus"
 STOP_COMPLETED = "completed"
 
-_COMBINE_MODES = ("sum", "weighted-sum")
+COMBINE_MODES = ("sum", "weighted-sum")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,9 +57,9 @@ class PhiConfig:
     def __post_init__(self) -> None:
         if not (self.delta >= 0 and math.isfinite(self.delta)):
             raise PreconditionError(f"delta must be finite >= 0, got {self.delta}")
-        if self.combine_mode not in _COMBINE_MODES:
+        if self.combine_mode not in COMBINE_MODES:
             raise PreconditionError(
-                f"combine_mode must be one of {_COMBINE_MODES}, got {self.combine_mode!r}"
+                f"combine_mode must be one of {COMBINE_MODES}, got {self.combine_mode!r}"
             )
         if not math.isfinite(self.alignment_weight):
             raise PreconditionError("alignment_weight must be finite")

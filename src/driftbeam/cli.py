@@ -16,13 +16,17 @@ runs are byte-equal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
+from .baselines import COMBINE_MODES
+from .engine import SELECTIONS, parse_epsilon
 from .errors import DriftbeamError
 from .metrics import RunMetrics, canonical_json, compare_runs
 from .process import trajectory_statistics
@@ -37,49 +41,54 @@ from .runner import (
     sweep,
 )
 
-_EPSILON_DISABLED = ("none", "null", "off", "-inf")
-_UNSET = object()
-
-
-def _epsilon(value: str) -> Optional[float]:
-    if value.lower() in _EPSILON_DISABLED:
-        return None
-    return float(value)
+_RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags whose dest is the config key they set: a RunConfig field, or
+    `section.field` for the backend, decode and phi sections. Unset flags
+    leave no attribute, so the config file's value stands."""
     parser.add_argument("--config", help="YAML run config; flags override its fields")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--backend", choices=BACKEND_KINDS)
-    parser.add_argument("--fixture", help="scripted backend fixture (JSONL)")
-    parser.add_argument("--base-url", help="http backend endpoint base")
-    parser.add_argument("--model", help="http backend model name")
-    parser.add_argument("--params", type=int, help="model parameter count P for FLOPs")
-    parser.add_argument("--arms", type=int, help="synthetic arm count")
-    parser.add_argument("--arm-drift", type=float, help="synthetic drift magnitude")
-    parser.add_argument("--noise", type=float, help="synthetic noise std")
-    parser.add_argument("--horizon", type=int, help="synthetic reasoning horizon")
-    parser.add_argument("--beam-size", "-M", type=int, dest="beam_size")
-    parser.add_argument("--rollouts", "-N", type=int, dest="rollouts",
-                        help="candidate steps per active path")
-    parser.add_argument("--temperature", type=float, help="softmax sharpness tau")
-    parser.add_argument("--lambda1", type=float)
-    parser.add_argument("--epsilon-stop", type=_epsilon, dest="epsilon_stop",
-                        default=_UNSET,
-                        help="convergence threshold; 'none' or '-inf' disables")
-    parser.add_argument("--max-steps", type=int, dest="max_steps")
-    parser.add_argument("--rollout-depth", type=int, dest="rollout_depth")
-    parser.add_argument("--max-step-tokens", type=int, dest="max_step_tokens")
-    parser.add_argument("--rollout-samples", type=int, dest="rollout_samples")
-    parser.add_argument("--max-completion-tokens", type=int, dest="max_completion_tokens")
-    parser.add_argument("--selection", choices=("softmax", "uniform"))
-    parser.add_argument("--no-prune", action="store_true")
-    parser.add_argument("--delta", type=float, help="consensus stop fraction")
-    parser.add_argument("--combine-mode", choices=("sum", "weighted-sum"), dest="combine_mode")
-    parser.add_argument("--alignment-weight", type=float, dest="alignment_weight")
-    parser.add_argument("--cluster-distance", type=float, dest="cluster_distance")
+    add = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    add("--method", choices=METHODS)
+    add("--seed", type=int)
+    add("--preset", choices=sorted(PRESETS))
+    add("--backend", choices=BACKEND_KINDS, dest="backend.kind")
+    add("--fixture", dest="backend.fixture", help="scripted backend fixture (JSONL)")
+    add("--base-url", dest="backend.base_url", help="http backend endpoint base")
+    add("--model", dest="backend.model", help="http backend model name")
+    add("--params", type=int, dest="backend.model_params",
+        help="model parameter count P for FLOPs")
+    add("--arms", type=int, dest="backend.arm_count", help="synthetic arm count")
+    add("--arm-drift", type=float, dest="backend.drift", help="synthetic drift magnitude")
+    add("--noise", type=float, dest="backend.noise_std", help="synthetic noise std")
+    add("--horizon", type=int, dest="backend.horizon", help="synthetic reasoning horizon")
+    add("--beam-size", "-M", type=int, dest="decode.beam_size")
+    add("--rollouts", "-N", type=int, dest="decode.rollouts_per_candidate",
+        help="candidate steps per active path")
+    add("--temperature", type=float, dest="decode.temperature",
+        help="softmax sharpness tau")
+    add("--lambda1", type=float, dest="decode.lambda1")
+    add("--epsilon-stop", type=parse_epsilon, dest="decode.epsilon_stop",
+        help="convergence threshold; none, null, off or -inf disables")
+    add("--max-steps", type=int, dest="decode.max_steps")
+    add("--rollout-depth", type=int, dest="decode.rollout_depth")
+    add("--max-step-tokens", type=int, dest="decode.max_step_tokens")
+    add("--rollout-samples", type=int, dest="decode.rollout_samples")
+    add("--max-completion-tokens", type=int, dest="decode.max_completion_tokens")
+    add("--selection", choices=SELECTIONS, dest="decode.selection")
+    add("--no-prune", action="store_false", dest="decode.prune_enabled")
+    add("--delta", type=float, dest="phi.delta", help="consensus stop fraction")
+    add("--combine-mode", choices=COMBINE_MODES, dest="phi.combine_mode")
+    add("--alignment-weight", type=float, dest="phi.alignment_weight")
+    add("--cluster-distance", type=float, dest="phi.cluster_distance")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    add = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    add("--dataset", help="JSONL path or synthetic:<N>")
+    add("--out", dest="output_dir", help="output directory")
+    add("--workers", type=int)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -87,61 +96,18 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle) or {}
-    raw.setdefault("backend", {})
-    raw.setdefault("decode", {})
-
-    def set_if(section: dict, key: str, value) -> None:
-        if value is not None:
-            section[key] = value
-
-    set_if(raw, "method", args.method)
-    set_if(raw, "seed", args.seed)
-    set_if(raw, "preset", args.preset)
-    set_if(raw, "dataset", getattr(args, "dataset", None))
-    set_if(raw, "output_dir", getattr(args, "out", None))
-    set_if(raw, "workers", getattr(args, "workers", None))
-    if getattr(args, "exclude_rollout_tokens", False):
-        raw["count_rollout_tokens"] = False
-
-    backend = raw["backend"]
-    set_if(backend, "kind", args.backend)
-    set_if(backend, "fixture", args.fixture)
-    set_if(backend, "base_url", args.base_url)
-    set_if(backend, "model", args.model)
-    set_if(backend, "model_params", args.params)
-    set_if(backend, "arm_count", args.arms)
-    set_if(backend, "drift", args.arm_drift)
-    set_if(backend, "noise_std", args.noise)
-    set_if(backend, "horizon", args.horizon)
-
-    dec = raw["decode"]
-    set_if(dec, "beam_size", args.beam_size)
-    set_if(dec, "rollouts_per_candidate", args.rollouts)
-    set_if(dec, "temperature", args.temperature)
-    set_if(dec, "lambda1", args.lambda1)
-    if args.epsilon_stop is not _UNSET:
-        dec["epsilon_stop"] = args.epsilon_stop
-    set_if(dec, "max_steps", args.max_steps)
-    set_if(dec, "rollout_depth", args.rollout_depth)
-    set_if(dec, "max_step_tokens", args.max_step_tokens)
-    set_if(dec, "rollout_samples", args.rollout_samples)
-    set_if(dec, "max_completion_tokens", args.max_completion_tokens)
-    set_if(dec, "selection", args.selection)
-    if args.no_prune:
-        dec["prune_enabled"] = False
-
-    method = raw.get("method", "mfs")
-    if method == "phi":
-        phi = raw.setdefault("phi", {}) or {}
-        set_if(phi, "delta", args.delta)
-        set_if(phi, "combine_mode", args.combine_mode)
-        set_if(phi, "alignment_weight", args.alignment_weight)
-        set_if(phi, "cluster_distance", args.cluster_distance)
-        raw["phi"] = phi
-    elif raw.get("phi") is not None:
-        # A config file may carry a phi section for its own phi runs; drop it
-        # when the effective method is different rather than erroring.
-        del raw["phi"]
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section:
+            raw[section] = {**(raw.get(section) or {}), key: value}
+        elif key in _RUN_FIELDS:
+            raw[key] = value
+    # A phi section exists iff the effective method is phi: a config file may
+    # carry one for its own phi runs, and phi flags are ignored otherwise.
+    if raw.get("method") == "phi":
+        raw["phi"] = raw.get("phi") or {}
+    else:
+        raw.pop("phi", None)
     return parse_config(raw)
 
 
@@ -288,19 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a dataset and write reports")
     _add_override_flags(p_bench)
-    p_bench.add_argument("--dataset", help="JSONL path or synthetic:<N>")
-    p_bench.add_argument("--out", help="output directory")
-    p_bench.add_argument("--workers", type=int)
-    p_bench.add_argument("--exclude-rollout-tokens", action="store_true",
-                         dest="exclude_rollout_tokens",
+    _add_run_flags(p_bench)
+    p_bench.add_argument("--exclude-rollout-tokens", action="store_false",
+                         dest="count_rollout_tokens", default=argparse.SUPPRESS,
                          help="count only committed-path tokens in n")
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over decode fields")
     _add_override_flags(p_sweep)
-    p_sweep.add_argument("--dataset")
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--workers", type=int)
+    _add_run_flags(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_stats = sub.add_parser("stats", help="trajectory statistics over trace files")

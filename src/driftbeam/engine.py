@@ -72,9 +72,29 @@ def substream(seed: int, *fields: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, *fields]))
 
 
+SELECTIONS = ("softmax", "uniform")
+EPSILON_DISABLED = ("none", "null", "off", "-inf")
+
+
 def epsilon_enabled(epsilon_stop: Optional[float]) -> bool:
     """Convergence stopping is off when epsilon_stop is None or -inf."""
     return epsilon_stop is not None and epsilon_stop != -math.inf
+
+
+def parse_epsilon(value) -> Optional[float]:
+    """epsilon_stop from a CLI flag or a config value: None and the strings
+    none/null/off/-inf disable the stop, anything else must read as a float
+    (YAML loads `1e-6` as a string). A bool is an error: YAML reads a bare
+    `off` as false, which float() would make an active threshold of 0.0."""
+    if isinstance(value, bool):
+        raise PreconditionError(f"epsilon_stop got {value}; write null or quote 'off' to disable")
+    if value is None or (isinstance(value, str) and value.lower() in EPSILON_DISABLED):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"epsilon_stop must be a number or one of "
+                                f"{EPSILON_DISABLED}, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +155,8 @@ class DecodeConfig:
             raise PreconditionError(
                 f"max_completion_tokens must be >= 1, got {self.max_completion_tokens}"
             )
-        if self.selection not in ("softmax", "uniform"):
-            raise PreconditionError(f"selection must be softmax|uniform, got {self.selection}")
+        if self.selection not in SELECTIONS:
+            raise PreconditionError(f"selection must be in {SELECTIONS}, got {self.selection!r}")
 
     def replace(self, **changes) -> "DecodeConfig":
         return replace(self, **changes)

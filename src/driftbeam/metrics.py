@@ -23,7 +23,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
 
@@ -82,6 +82,17 @@ def _as_int(value, name: str) -> int:
     raise PreconditionError(f"{name} must be an integer count, got {value!r}")
 
 
+def _record_fields(cls: type, data) -> dict:
+    """A copy of `data`, checked to hold exactly the fields of `cls`."""
+    if not isinstance(data, Mapping):
+        raise DatasetError(f"{cls.__name__} record must be a mapping, got {type(data).__name__}")
+    names = {f.name for f in fields(cls)}
+    missing, extra = sorted(names - set(data)), sorted(set(data) - names)
+    if missing or extra:
+        raise DatasetError(f"{cls.__name__} record: missing keys {missing}, extra keys {extra}")
+    return dict(data)
+
+
 @dataclass(frozen=True, slots=True)
 class PerExample:
     task_id: str
@@ -96,25 +107,11 @@ class PerExample:
         return answers_match(self.predicted, self.gold)
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "tokens": self.tokens,
-            "stop_step": self.stop_step,
-            "prune_count": self.prune_count,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PerExample":
-        return cls(
-            task_id=data["task_id"],
-            predicted=data["predicted"],
-            gold=data["gold"],
-            tokens=data["tokens"],
-            stop_step=data["stop_step"],
-            prune_count=data["prune_count"],
-        )
+    def from_dict(cls, data: Mapping) -> "PerExample":
+        return cls(**_record_fields(cls, data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,25 +153,16 @@ class RunMetrics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "tokens_generated": self.tokens_generated,
-            "model_params": self.model_params,
-            "flops": self.flops,
-            "correct": self.correct,
-            "total": self.total,
-            "per_example": [e.to_dict() for e in self.per_example],
-        }
+        """JSON-shaped: per_example is a list, as json.loads reads it back."""
+        record = asdict(self)
+        record["per_example"] = list(record["per_example"])
+        return record
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunMetrics":
-        return cls(
-            tokens_generated=data["tokens_generated"],
-            model_params=data["model_params"],
-            flops=data["flops"],
-            correct=data["correct"],
-            total=data["total"],
-            per_example=tuple(PerExample.from_dict(e) for e in data["per_example"]),
-        )
+    def from_dict(cls, data: Mapping) -> "RunMetrics":
+        record = _record_fields(cls, data)
+        record["per_example"] = tuple(PerExample.from_dict(e) for e in record["per_example"])
+        return cls(**record)
 
 
 @dataclass(frozen=True, slots=True)

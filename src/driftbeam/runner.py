@@ -1,9 +1,12 @@
 """Run orchestration: config files, presets, benchmark runs, sweeps.
 
 Configs are one YAML file with strict keys (unknown keys are errors, not
-silent typos). The endpoint and credentials of the HTTP backend can be
-overridden by DRIFTBEAM_BASE_URL / DRIFTBEAM_MODEL / DRIFTBEAM_API_KEY;
-the auth token is never written back out by the serializer.
+silent typos). The config keys and their defaults are the dataclass
+fields: RunConfig at the top level, BackendSpec, DecodeConfig and PhiConfig
+for the backend, decode and phi sections. The endpoint and credentials of
+the HTTP backend can be overridden by DRIFTBEAM_BASE_URL / DRIFTBEAM_MODEL
+/ DRIFTBEAM_API_KEY; the auth token is never written back out by the
+serializer.
 
 Seeding is two-level and documented: sweep run i uses base_seed + i, and
 instance j inside a run decodes with a 64-bit seed drawn from the
@@ -18,7 +21,7 @@ import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -38,7 +41,7 @@ from .dataset import (
     synthetic_size,
     synthetic_suite,
 )
-from .engine import TAG_INSTANCE, DecodeConfig, DecodeResult, decode
+from .engine import TAG_INSTANCE, DecodeConfig, DecodeResult, decode, parse_epsilon
 from .errors import DriftbeamError, PreconditionError
 from .metrics import PerExample, RunMetrics, canonical_json, emit_report
 
@@ -163,6 +166,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise PreconditionError(f"method must be one of {METHODS}, got {self.method!r}")
+        # Exact types: YAML's 2.7, 'false' or a bool are errors, not coerced.
+        for name, kind in (("seed", int), ("workers", int),
+                           ("count_rollout_tokens", bool), ("dataset", str)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise PreconditionError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
         if self.method == "phi" and self.phi is None:
@@ -181,36 +190,20 @@ class RunConfig:
 # -- config file round-trip ----------------------------------------------------
 
 
-def _check_keys(section: Mapping, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _check_keys(section: Mapping, cls: type, where: str) -> None:
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise PreconditionError(f"unknown {where} keys: {unknown}")
-
-
-_TOP_KEYS = (
-    "method", "seed", "workers", "dataset", "output_dir",
-    "count_rollout_tokens", "preset", "backend", "decode", "phi", "grid",
-)
-_BACKEND_KEYS = (
-    "kind", "model_params", "arm_count", "drift", "drifts", "noise_std",
-    "horizon", "fixture", "base_url", "model", "model_temperature",
-    "timeout", "verify_tls", "auth_header",
-)
-_DECODE_KEYS = (
-    "beam_size", "rollouts_per_candidate", "temperature", "lambda1",
-    "epsilon_stop", "max_steps", "rollout_depth", "max_step_tokens",
-    "step_delimiter", "answer_pattern", "rollout_samples",
-    "max_completion_tokens", "selection", "prune_enabled",
-)
-_PHI_KEYS = ("delta", "combine_mode", "alignment_weight", "cluster_distance")
 
 
 def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     """Build a RunConfig from a YAML file or an equivalent mapping.
 
-    Preset values land first; explicit decode keys override them. The
-    decode seed is derived from the run seed, so a `seed` key inside the
-    decode section is rejected.
+    Each section's keys and defaults are the fields of its dataclass
+    (RunConfig, BackendSpec, DecodeConfig, PhiConfig). Preset values land
+    first; explicit decode keys override them. The decode seed is derived
+    from the run seed, so a `seed` key inside the decode section is
+    rejected.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -221,15 +214,16 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
         raw = {}
     if not isinstance(raw, Mapping):
         raise PreconditionError("config root must be a mapping")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw, RunConfig, "config")
+    top = dict(raw)
 
     backend_raw = dict(raw.get("backend") or {})
     if "auth_token" in backend_raw:
         raise PreconditionError("auth_token must come from the environment, not the config file")
-    _check_keys(backend_raw, _BACKEND_KEYS, "backend")
+    _check_keys(backend_raw, BackendSpec, "backend")
     if backend_raw.get("drifts") is not None:
         backend_raw["drifts"] = tuple(float(d) for d in backend_raw["drifts"])
-    if backend_raw.get("kind", "synthetic") == "http":
+    if backend_raw.get("kind") == "http":
         if os.environ.get(ENV_BASE_URL):
             backend_raw["base_url"] = os.environ[ENV_BASE_URL]
         if os.environ.get(ENV_MODEL):
@@ -237,33 +231,29 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
         token = os.environ.get(ENV_API_KEY)
         if token:
             backend_raw["auth_token"] = token
-    backend = BackendSpec(**backend_raw)
+    top["backend"] = BackendSpec(**backend_raw)
 
     decode_raw = dict(raw.get("decode") or {})
     if "seed" in decode_raw:
         raise PreconditionError("decode.seed is derived from the run seed; set top-level seed")
-    _check_keys(decode_raw, _DECODE_KEYS, "decode")
+    _check_keys(decode_raw, DecodeConfig, "decode")
     preset = raw.get("preset")
     if preset is not None:
         if preset not in PRESETS:
             raise PreconditionError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
         decode_raw = {**PRESETS[preset], **decode_raw}
-    if "epsilon_stop" in decode_raw and decode_raw["epsilon_stop"] is not None:
-        decode_raw["epsilon_stop"] = float(decode_raw["epsilon_stop"])
-    decode_cfg = DecodeConfig(**decode_raw)
+    if "epsilon_stop" in decode_raw:
+        decode_raw["epsilon_stop"] = parse_epsilon(decode_raw["epsilon_stop"])
+    top["decode"] = DecodeConfig(**decode_raw)
 
-    phi_raw = raw.get("phi")
-    phi_cfg: Optional[PhiConfig] = None
-    if phi_raw is not None:
-        phi_raw = dict(phi_raw)
-        _check_keys(phi_raw, _PHI_KEYS, "phi")
-        phi_cfg = PhiConfig(**phi_raw)
+    if raw.get("phi") is not None:
+        phi_raw = dict(raw["phi"])
+        _check_keys(phi_raw, PhiConfig, "phi")
+        top["phi"] = PhiConfig(**phi_raw)
 
-    grid_raw = raw.get("grid")
-    grid: Optional[dict[str, tuple]] = None
-    if grid_raw is not None:
-        grid = {}
-        for key, values in dict(grid_raw).items():
+    if raw.get("grid") is not None:
+        grid: dict[str, tuple] = {}
+        for key, values in dict(raw["grid"]).items():
             name = _GRID_ALIASES.get(key, key)
             if name not in _GRID_FIELDS:
                 raise PreconditionError(
@@ -271,83 +261,28 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
                 )
             if not isinstance(values, (list, tuple)) or not values:
                 raise PreconditionError(f"grid field {key!r} needs a non-empty list")
+            if name == "epsilon_stop":
+                values = [parse_epsilon(value) for value in values]
             grid[name] = tuple(values)
+        top["grid"] = grid
 
-    return RunConfig(
-        method=raw.get("method", "mfs"),
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
-        dataset=str(raw.get("dataset", "synthetic:20")),
-        output_dir=raw.get("output_dir"),
-        count_rollout_tokens=bool(raw.get("count_rollout_tokens", True)),
-        preset=preset,
-        backend=backend,
-        decode=decode_cfg,
-        phi=phi_cfg,
-        grid=grid,
-    )
+    return RunConfig(**top)
+
+
+def _yaml_ready(value):
+    if isinstance(value, dict):
+        return {key: _yaml_ready(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return [_yaml_ready(item) for item in value]
+    return value
 
 
 def serialize_config(config: RunConfig) -> dict:
-    """Plain mapping form; parse_config(serialize_config(c)) == c."""
-    backend: dict = {"kind": config.backend.kind, "model_params": config.backend.model_params}
-    if config.backend.kind == "synthetic":
-        backend.update(
-            arm_count=config.backend.arm_count,
-            drift=config.backend.drift,
-            noise_std=config.backend.noise_std,
-            horizon=config.backend.horizon,
-        )
-        if config.backend.drifts is not None:
-            backend["drifts"] = list(config.backend.drifts)
-    elif config.backend.kind == "scripted":
-        backend["fixture"] = config.backend.fixture
-    else:
-        backend.update(
-            base_url=config.backend.base_url,
-            model=config.backend.model,
-            model_temperature=config.backend.model_temperature,
-            timeout=config.backend.timeout,
-            verify_tls=config.backend.verify_tls,
-            auth_header=config.backend.auth_header,
-        )
-    decode_cfg = config.decode
-    out: dict = {
-        "method": config.method,
-        "seed": config.seed,
-        "workers": config.workers,
-        "dataset": config.dataset,
-        "output_dir": config.output_dir,
-        "count_rollout_tokens": config.count_rollout_tokens,
-        "backend": backend,
-        "decode": {
-            "beam_size": decode_cfg.beam_size,
-            "rollouts_per_candidate": decode_cfg.rollouts_per_candidate,
-            "temperature": decode_cfg.temperature,
-            "lambda1": decode_cfg.lambda1,
-            "epsilon_stop": decode_cfg.epsilon_stop,
-            "max_steps": decode_cfg.max_steps,
-            "rollout_depth": decode_cfg.rollout_depth,
-            "max_step_tokens": decode_cfg.max_step_tokens,
-            "step_delimiter": decode_cfg.step_delimiter,
-            "answer_pattern": decode_cfg.answer_pattern,
-            "rollout_samples": decode_cfg.rollout_samples,
-            "max_completion_tokens": decode_cfg.max_completion_tokens,
-            "selection": decode_cfg.selection,
-            "prune_enabled": decode_cfg.prune_enabled,
-        },
-    }
-    if config.preset is not None:
-        out["preset"] = config.preset
-    if config.phi is not None:
-        out["phi"] = {
-            "delta": config.phi.delta,
-            "combine_mode": config.phi.combine_mode,
-            "alignment_weight": config.phi.alignment_weight,
-            "cluster_distance": config.phi.cluster_distance,
-        }
-    if config.grid is not None:
-        out["grid"] = {key: list(values) for key, values in config.grid.items()}
+    """Every field as a plain mapping, except the credentials and the
+    derived decode seed; parse_config(serialize_config(c)) == c."""
+    out = _yaml_ready(asdict(config))
+    del out["backend"]["auth_token"]
+    del out["decode"]["seed"]
     return out
 
 

@@ -225,6 +225,17 @@ class TestScripted:
         with pytest.raises(ProtocolError, match="invalid JSON"):
             load_fixture(path)
 
+    @pytest.mark.parametrize("logprobs", [None, [None], [[1]], ["-0.5"], [True]])
+    def test_non_numeric_logprobs_are_protocol_errors(self, tmp_path, logprobs):
+        records = self._records()
+        records[1]["logprobs"] = logprobs
+        path = tmp_path / "fx.jsonl"
+        save_fixture(path, records)
+        # Both construction paths, a record list and a fixture file.
+        for source in (records, path):
+            with pytest.raises(ProtocolError, match="logprobs must be a list of numbers"):
+                ScriptedModel(source)
+
 
 class TestRecording:
     def test_record_then_replay_matches_live(self, two_arm_model, tmp_path):

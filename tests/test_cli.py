@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from driftbeam.cli import build_parser, main
+from driftbeam.cli import _build_config, build_parser, main
 
 FAST = ["-M", "2", "-N", "2", "--rollout-depth", "4", "--max-steps", "5"]
 
@@ -28,6 +28,74 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# (argv, dotted path of the RunConfig field it sets, expected value); every
+# value differs from the field's default.
+OVERRIDES = [
+    (["--method", "ar-cot"], "method", "ar-cot"),
+    (["--seed", "7"], "seed", 7),
+    (["--preset", "llama8b/arc"], "preset", "llama8b/arc"),
+    (["--backend", "scripted", "--fixture", "fx.jsonl"], "backend.kind", "scripted"),
+    (["--fixture", "fx.jsonl"], "backend.fixture", "fx.jsonl"),
+    (["--base-url", "http://h"], "backend.base_url", "http://h"),
+    (["--model", "m"], "backend.model", "m"),
+    (["--params", "7000"], "backend.model_params", 7000),
+    (["--arms", "3"], "backend.arm_count", 3),
+    (["--arm-drift", "0.1"], "backend.drift", 0.1),
+    (["--noise", "0.3"], "backend.noise_std", 0.3),
+    (["--horizon", "5"], "backend.horizon", 5),
+    (["--beam-size", "3"], "decode.beam_size", 3),
+    (["-M", "3"], "decode.beam_size", 3),
+    (["--rollouts", "3"], "decode.rollouts_per_candidate", 3),
+    (["-N", "3"], "decode.rollouts_per_candidate", 3),
+    (["--temperature", "0.5"], "decode.temperature", 0.5),
+    (["--lambda1", "0.3"], "decode.lambda1", 0.3),
+    (["--epsilon-stop", "1e-4"], "decode.epsilon_stop", 1e-4),
+    (["--epsilon-stop", "off"], "decode.epsilon_stop", None),
+    (["--max-steps", "3"], "decode.max_steps", 3),
+    (["--rollout-depth", "5"], "decode.rollout_depth", 5),
+    (["--max-step-tokens", "9"], "decode.max_step_tokens", 9),
+    (["--rollout-samples", "2"], "decode.rollout_samples", 2),
+    (["--max-completion-tokens", "50"], "decode.max_completion_tokens", 50),
+    (["--selection", "uniform"], "decode.selection", "uniform"),
+    (["--no-prune"], "decode.prune_enabled", False),
+    (["--method", "phi", "--delta", "0.4"], "phi.delta", 0.4),
+    (["--method", "phi", "--combine-mode", "weighted-sum"], "phi.combine_mode", "weighted-sum"),
+    (["--method", "phi", "--alignment-weight", "0.5"], "phi.alignment_weight", 0.5),
+    (["--method", "phi", "--cluster-distance", "0.1"], "phi.cluster_distance", 0.1),
+    (["--dataset", "synthetic:3"], "dataset", "synthetic:3"),
+    (["--out", "runs/x"], "output_dir", "runs/x"),
+    (["--workers", "3"], "workers", 3),
+    (["--exclude-rollout-tokens"], "count_rollout_tokens", False),
+]
+
+
+def option_strings(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(getattr(a, "choices", None), dict))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("argv, path, expected", OVERRIDES,
+                             ids=[" ".join(argv) for argv, _, _ in OVERRIDES])
+    def test_flag_sets_its_field(self, argv, path, expected, monkeypatch):
+        for name in ("DRIFTBEAM_BASE_URL", "DRIFTBEAM_MODEL", "DRIFTBEAM_API_KEY"):
+            monkeypatch.delenv(name, raising=False)
+        config = _build_config(build_parser().parse_args(["bench", *argv]))
+        value = config
+        for name in path.split("."):
+            value = getattr(value, name)
+        assert value == expected
+
+    def test_every_bench_flag_is_covered(self):
+        covered = {arg for argv, _, _ in OVERRIDES for arg in argv if arg.startswith("-")}
+        assert option_strings("bench") - {"-h", "--help", "--config"} == covered
+
+    def test_phi_flags_ignored_unless_method_is_phi(self):
+        config = _build_config(build_parser().parse_args(["bench", "--delta", "0.4"]))
+        assert config.method == "mfs" and config.phi is None
 
 
 class TestDecode:
@@ -219,6 +287,15 @@ class TestCompare:
         assert set(payload) == {"accuracy_delta", "flagged", "flops_ratio", "token_deltas"}
         assert payload["flops_ratio"] < 1.0  # plain completion is cheaper
         assert len(payload["token_deltas"]) == 4
+
+    def test_missing_key_is_error_record(self, capfd, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text('{"metrics": {"tokens_generated": 1}}')
+        code, out, err = run_cli(capfd, "compare", str(path), str(path))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DatasetError"
+        assert "missing keys" in record["message"]
 
     def test_mismatched_sets_error(self, capfd, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

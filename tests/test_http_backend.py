@@ -183,6 +183,14 @@ class TestProtocolErrors:
         with pytest.raises(ProtocolError, match="malformed"):
             make_model(server).complete("Q\n", 8, rng())
 
+    @pytest.mark.parametrize("logprobs", [[None], [[1]], ["-0.5"], [True], "ab"])
+    def test_non_numeric_logprobs(self, logprobs):
+        payload = completions_payload(logprobs=(-0.5,))
+        payload["choices"][0]["logprobs"]["token_logprobs"] = logprobs
+        model = HttpCompletionsModel("http://127.0.0.1:9", "stub")
+        with pytest.raises(ProtocolError, match="token_logprobs must be a list of numbers"):
+            model._parse(payload, "delimiter")
+
 
 class TestConcurrency:
     def test_parallel_requests_complete(self, server):

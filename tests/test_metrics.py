@@ -1,6 +1,8 @@
 """Metrics tests: normalization table, exact FLOPs, comparisons, reports."""
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,33 @@ class TestRunMetrics:
     def test_roundtrip(self):
         metrics = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123)
         assert RunMetrics.from_dict(metrics.to_dict()) == metrics
+
+    def test_to_dict_is_json_shaped(self):
+        # What a reader of metrics.json gets back must equal to_dict() itself:
+        # per_example a list of plain mappings, not a tuple.
+        metrics = RunMetrics.from_examples(
+            [ex("t1", "4", "4"), ex("t2", "5", "4", tokens=3)], model_params=123
+        )
+        record = metrics.to_dict()
+        assert json.loads(canonical_json(record)) == record
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda d: d.pop("flops"), "missing keys ['flops']"),
+            (lambda d: d.update(extra=1), "extra keys ['extra']"),
+            (lambda d: d["per_example"][0].pop("gold"), "missing keys ['gold']"),
+        ],
+    )
+    def test_from_dict_names_bad_keys(self, change, named):
+        record = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123).to_dict()
+        change(record)
+        with pytest.raises(DatasetError, match=re.escape(named)):
+            RunMetrics.from_dict(record)
+
+    def test_from_dict_rejects_non_mapping(self):
+        with pytest.raises(DatasetError, match="must be a mapping"):
+            PerExample.from_dict(["t1", "4", "4", 10, 2, 0])
 
 
 class TestCompareRuns:

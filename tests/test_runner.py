@@ -1,5 +1,6 @@
 """Runner tests: config files, presets, env overrides, runs, sweeps."""
 
+import dataclasses
 import json
 
 import pytest
@@ -94,6 +95,48 @@ class TestParseConfig:
         path.write_text("decode:\n  epsilon_stop: null\n")
         assert parse_config(path).decode.epsilon_stop is None
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("null", None), ('"none"', None), ('"off"', None), ("-inf", None), ("1e-6", 1e-6)],
+    )
+    def test_epsilon_stop_yaml_spellings(self, tmp_path, text, expected):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"decode:\n  epsilon_stop: {text}\n")
+        assert parse_config(path).decode.epsilon_stop == expected
+
+    @pytest.mark.parametrize("text", ["off", "false", "no"])
+    def test_epsilon_stop_yaml_boolean_rejected(self, tmp_path, text):
+        # YAML reads a bare off as false; float(False) would be an active 0.0.
+        path = tmp_path / "run.yaml"
+        path.write_text(f"decode:\n  epsilon_stop: {text}\n")
+        with pytest.raises(PreconditionError, match="epsilon_stop"):
+            parse_config(path)
+
+    def test_epsilon_stop_in_grid_parsed_the_same_way(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("grid:\n  epsilon_stop: [1e-6, 'off']\n")
+        assert parse_config(path).grid == {"epsilon_stop": (1e-6, None)}
+        path.write_text("grid:\n  epsilon_stop: [off]\n")
+        with pytest.raises(PreconditionError, match="epsilon_stop"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 2.7),
+            ("seed", True),
+            ("seed", "3"),
+            ("workers", 2.0),
+            ("workers", True),
+            ("count_rollout_tokens", "false"),
+            ("count_rollout_tokens", 0),
+            ("dataset", 123),
+        ],
+    )
+    def test_top_level_values_not_coerced(self, key, value):
+        with pytest.raises(PreconditionError, match=key):
+            parse_config({key: value})
+
 
 class TestPresets:
     def test_table_shape(self):
@@ -166,11 +209,27 @@ class TestRoundTrip:
             {"grid": {"lambda1": [0.4, 0.8], "M": [2, 4]}},
             {"backend": {"kind": "synthetic", "arm_count": 4, "drift": 0.1}},
             {"decode": {"epsilon_stop": None, "selection": "uniform"}},
+            {"backend": {"kind": "http", "base_url": "http://h", "model": "m",
+                         "timeout": 5.0, "verify_tls": False}},
+            {"method": "phi", "phi": {"combine_mode": "weighted-sum",
+                                      "alignment_weight": 0.5}},
         ],
     )
-    def test_parse_serialize_fixed_point(self, source):
+    def test_parse_serialize_fixed_point(self, source, monkeypatch):
+        for name in (ENV_BASE_URL, ENV_MODEL, ENV_API_KEY):
+            monkeypatch.delenv(name, raising=False)
         config = parse_config(source)
         assert parse_config(serialize_config(config)) == config
+
+    def test_serializer_writes_every_field_but_credentials(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        dumped = serialize_config(parse_config({"method": "phi", "phi": {}}))
+        assert set(dumped) == names(RunConfig)
+        assert set(dumped["backend"]) == names(BackendSpec) - {"auth_token"}
+        assert set(dumped["decode"]) == names(DecodeConfig) - {"seed"}
+        assert set(dumped["phi"]) == names(PhiConfig)
 
     def test_yaml_round_trip(self, tmp_path):
         config = fast_config(seed=5, workers=2)
@@ -306,6 +365,35 @@ class TestExecuteRun:
         assert [tid for tid, _ in output.failures] == ["t2"]
         assert output.failures[0][1].startswith("NumericInputError: ")
         assert "token_logprobs" in output.failures[0][1]
+
+    def test_null_logprob_fails_each_task_not_the_run(self, tmp_path):
+        # The scripted model is built per task from the whole fixture, so one
+        # null logprob fails every task, each under a named ProtocolError.
+        dataset_path = tmp_path / "tasks.jsonl"
+        dataset_path.write_text(
+            '{"id": "t1", "prompt": "P1\\n", "answer": "4"}\n'
+            '{"id": "t2", "prompt": "P2\\n", "answer": "4"}\n'
+        )
+        fixture_path = tmp_path / "fx.jsonl"
+        save_fixture(fixture_path, [
+            {
+                "prefix_hash": fixture_key("complete", prompt),
+                "text": "Answer: 4",
+                "logprobs": logprobs,
+                "finish_reason": "end-of-sequence",
+            }
+            for prompt, logprobs in (("P1\n", [-0.1]), ("P2\n", [None]))
+        ])
+        config = parse_config({
+            "method": "ar-cot",
+            "dataset": str(dataset_path),
+            "backend": {"kind": "scripted", "fixture": str(fixture_path)},
+        })
+        output = execute_run(config)
+        assert output.metrics.total == 0
+        assert [tid for tid, _ in output.failures] == ["t1", "t2"]
+        for _, message in output.failures:
+            assert message.startswith("ProtocolError: logprobs must be a list of numbers")
 
     def test_synthetic_dataset_needs_synthetic_backend(self, tmp_path):
         fixture_path = tmp_path / "fx.jsonl"
