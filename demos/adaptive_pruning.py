@@ -13,15 +13,11 @@ import math
 
 from driftbeam import DecodeConfig, adaptive_threshold, deficit, prune_beam
 from driftbeam.engine import BeamPath, BeamState
-from driftbeam.process import QualityTrajectory
 
 
 def beam_with(qualities):
-    paths = []
-    for pid, quality in enumerate(qualities):
-        trajectory = QualityTrajectory(pid)
-        trajectory.append(1, quality)
-        paths.append(BeamPath(path_id=pid, prefix=f"path {pid}\n", trajectory=trajectory))
+    paths = [BeamPath(path_id=pid, prefix=f"path {pid}\n", quality=quality)
+             for pid, quality in enumerate(qualities)]
     state = BeamState(paths=paths)
     state.step_index = 1
     state.next_path_id = len(paths)
@@ -44,23 +40,22 @@ for q in qualities:
 
 # -- the same decision through the engine ---------------------------------------
 beam = beam_with(qualities)
-_, deficits, records = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=0.8))
-print(f"\nprune_beam cut paths {[rec.path_id for rec in records]}, "
-      f"{len(beam.active_paths())} remain active")
-for rec in records:
-    print(f"  record: path {rec.path_id} deficit {rec.deficit_value:.4f} "
-          f">= value {rec.threshold.value:.4f}")
+threshold, deficits, pruned = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=0.8))
+print(f"\nprune_beam cut paths {pruned}, {len(beam.paths)} remain active")
+for pid in pruned:
+    print(f"  record: path {pid} deficit {dict(deficits)[pid]:.4f} "
+          f">= value {threshold.value:.4f}")
 
 # -- lambda1 sweep ---------------------------------------------------------------
 # larger lambda1 means a wider tolerance band: fewer cuts, more exploration.
 print("\nlambda1   band value   paths cut")
 for lam in (0.0, 0.4, 0.8, 1.2, 2.0):
     beam = beam_with(qualities)
-    _, _, records = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=lam))
+    _, _, pruned = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=lam))
     value = adaptive_threshold(qualities, lam).value
-    print(f"{lam:7.1f}   {value:10.4f}   {sorted(rec.path_id for rec in records)}")
+    print(f"{lam:7.1f}   {value:10.4f}   {sorted(pruned)}")
 
 # -- the degenerate round ---------------------------------------------------------
 beam = beam_with([0.25, 0.25, 0.25])
-_, _, records = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=0.8))
-print(f"\nall-equal beam: sigma 0, cut {len(records)} paths (zero-width band binds nothing)")
+_, _, pruned = prune_beam(beam, DecodeConfig(beam_size=8, lambda1=0.8))
+print(f"\nall-equal beam: sigma 0, cut {len(pruned)} paths (zero-width band binds nothing)")

@@ -35,7 +35,6 @@ from .engine import (
     Candidate,
     DecodeConfig,
     DecodeResult,
-    PruneRecord,
     check_stop,
     decode,
     expand_beam,
@@ -71,8 +70,6 @@ from .metrics import (
 from .process import (
     AdaptiveThreshold,
     DoobEstimate,
-    QualityPoint,
-    QualityTrajectory,
     TrajectoryStats,
     adaptive_threshold,
     deficit,
@@ -115,9 +112,6 @@ __all__ = [
     "PhiConfig",
     "PreconditionError",
     "ProtocolError",
-    "PruneRecord",
-    "QualityPoint",
-    "QualityTrajectory",
     "RecordingModel",
     "RunConfig",
     "RunMetrics",

@@ -34,6 +34,8 @@ from .base import (
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _SEED_SPAN = 2**31 - 1
+CONNECT_TIMEOUT_S = 10.0
+AUTH_SCHEME = "Bearer"
 
 
 class HttpCompletionsModel(SequenceModel):
@@ -46,25 +48,22 @@ class HttpCompletionsModel(SequenceModel):
         *,
         temperature: float = 1.0,
         timeout: float = 60.0,
-        connect_timeout: float = 10.0,
         max_retries: int = 3,
         backoff: float = 0.5,
         auth_token: Optional[str] = None,
         auth_header: str = "Authorization",
-        auth_scheme: str = "Bearer",
         verify_tls: bool = True,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.temperature = temperature
-        self.timeout = (connect_timeout, timeout)
+        self.timeout = (CONNECT_TIMEOUT_S, timeout)
         self.max_retries = max_retries
         self.backoff = backoff
         self.verify_tls = verify_tls
         self._headers = {"Content-Type": "application/json"}
         if auth_token is not None:
-            value = f"{auth_scheme} {auth_token}" if auth_scheme else auth_token
-            self._headers[auth_header] = value
+            self._headers[auth_header] = f"{AUTH_SCHEME} {auth_token}"
         # requests.Session is not safe to share across threads; keep one per
         # thread.
         self._local = threading.local()

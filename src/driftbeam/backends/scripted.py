@@ -79,13 +79,16 @@ class ScriptedModel(SequenceModel):
         if isinstance(records, (str, Path)):
             records = load_fixture(records)
         self._queues: dict[str, list[StepSample]] = defaultdict(list)
-        for record in records:
-            sample = StepSample(
-                record["text"],
-                logprobs_from(record["logprobs"], "logprobs"),
-                record["finish_reason"],
-            )
-            self._queues[record["prefix_hash"]].append(sample)
+        for index, record in enumerate(records):
+            try:
+                sample = StepSample(
+                    record["text"],
+                    logprobs_from(record["logprobs"], "logprobs"),
+                    record["finish_reason"],
+                )
+                self._queues[record["prefix_hash"]].append(sample)
+            except KeyError as exc:
+                raise ProtocolError(f"fixture record {index}: missing field {exc}") from None
         self._cursors: dict[str, int] = defaultdict(int)
         self._lock = threading.Lock()
 

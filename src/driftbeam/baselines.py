@@ -162,7 +162,7 @@ def phi_decode(
     def judge(
         candidates: Sequence[Candidate], beam: BeamState, step: int
     ) -> tuple[list[float], dict, Optional[str]]:
-        advantages = [drift for _, drift in score_candidates(candidates, beam)]
+        advantages = score_candidates(candidates, beam)
         alignments = phi_alignment(candidates, phi, config.answer_pattern)
         combined = [
             combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)

@@ -27,7 +27,7 @@ import yaml
 
 from .baselines import COMBINE_MODES
 from .engine import SELECTIONS, parse_epsilon
-from .errors import DriftbeamError
+from .errors import DriftbeamError, PreconditionError
 from .metrics import RunMetrics, canonical_json, compare_runs
 from .process import trajectory_statistics
 from .runner import (
@@ -96,6 +96,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle) or {}
+        if not isinstance(raw, dict):
+            raise PreconditionError("config root must be a mapping")
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if section:

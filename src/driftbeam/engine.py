@@ -3,10 +3,10 @@
 The loop treats the evolving path quality as a stochastic process: every
 candidate step is scored by the predictable (drift) part of its foresight
 rollouts, the beam is resampled by softmax weights over those drifts,
-lagging paths are pruned once their deficit crosses an adaptive threshold,
-and deliberation halts when the best available drift is statistically
-indistinguishable from zero. Survivors are completed autoregressively and
-majority-voted.
+lagging paths are dropped from the beam once their deficit crosses an
+adaptive threshold, and deliberation halts when the best available drift
+is statistically indistinguishable from zero. Survivors are completed
+autoregressively and majority-voted.
 
 Each iteration runs expand -> score and stop -> select -> prune, and the
 loop exits after the iteration in which the stop fired (the converged
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .process import (
     AdaptiveThreshold,
-    QualityTrajectory,
     adaptive_threshold,
     deficit,
     estimate_predictable_advantage,
@@ -176,28 +175,19 @@ class Candidate:
 
     @property
     def quality(self) -> float:
-        """Mean rollout quality; the value appended to the trajectory."""
+        """Mean rollout quality; the quality of the child path it becomes."""
         return finite_mean(self.rollout_qualities, "rollout_qualities")
-
-
-@dataclass(frozen=True, slots=True)
-class PruneRecord:
-    path_id: int
-    step_index: int
-    deficit_value: float
-    threshold: AdaptiveThreshold
-
-    def __post_init__(self) -> None:
-        if not self.deficit_value >= self.threshold.value:
-            raise PreconditionError("prune record requires deficit >= threshold value")
 
 
 @dataclass(slots=True)
 class BeamPath:
+    """A partial reasoning path: its text and its latest quality F_t, which is
+    None only on the root until the first expand sets it to the pooled
+    first-step rollout mean. Drift needs nothing older than F_t."""
+
     path_id: int
     prefix: str
-    trajectory: QualityTrajectory
-    active: bool = True
+    quality: Optional[float] = None
     finished: bool = False
 
 
@@ -212,15 +202,11 @@ class BeamState:
 
     @classmethod
     def initial(cls, task_prompt: str) -> "BeamState":
-        root = BeamPath(path_id=0, prefix=task_prompt, trajectory=QualityTrajectory(0))
-        return cls(paths=[root])
-
-    def active_paths(self) -> list[BeamPath]:
-        return [p for p in self.paths if p.active]
+        return cls(paths=[BeamPath(path_id=0, prefix=task_prompt)])
 
     def live_paths(self) -> list[BeamPath]:
-        """Active paths that can still grow (no end-of-sequence yet)."""
-        return [p for p in self.paths if p.active and not p.finished]
+        """Paths that can still grow (no end-of-sequence yet)."""
+        return [p for p in self.paths if not p.finished]
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,15 +302,13 @@ def expand_beam(
     model: SequenceModel,
     beam: BeamState,
     config: DecodeConfig,
-    *,
-    step_index: Optional[int] = None,
 ) -> list[Candidate]:
     """Propose N candidate steps per live path, each with foresight rollouts.
 
     The candidate budget shrinks with the beam: pruning survivors keep their
     N candidates each, so the per-step total stays <= M*N.
     """
-    step = beam.step_index + 1 if step_index is None else step_index
+    step = beam.step_index + 1
     live = beam.live_paths()
     if not live:
         raise DecodeStalledError("expand_beam called with no live paths")
@@ -357,14 +341,14 @@ def expand_beam(
 
     # Pooled first-expand mean initializes the quality process: the prompt's
     # own value F_0 is the average of everything foresight saw from it.
-    fresh_parents = [p for p in live if len(p.trajectory.points) == 0]
+    fresh_parents = [p for p in live if p.quality is None]
     if fresh_parents:
         baseline = finite_mean(
             [quality_of(r) for (_, _, _, rollouts) in results for r in rollouts],
             "first-step rollout qualities",
         )
         for parent in fresh_parents:
-            parent.trajectory.append(0, baseline)
+            parent.quality = baseline
 
     candidates: list[Candidate] = []
     for path, cand_index, step_sample, rollouts in results:
@@ -389,70 +373,67 @@ def expand_beam(
     return candidates
 
 
-def score_candidates(
-    candidates: Sequence[Candidate], beam: BeamState
-) -> list[tuple[Candidate, float]]:
+def score_candidates(candidates: Sequence[Candidate], beam: BeamState) -> list[float]:
     """Drift of each candidate relative to its parent's latest quality."""
     by_id = {p.path_id: p for p in beam.paths}
-    scored = []
+    drifts = []
     for cand in candidates:
         parent = by_id[cand.parent_path_id]
+        if parent.quality is None:
+            raise PreconditionError(f"path {parent.path_id} has no quality yet")
         try:
-            est = estimate_predictable_advantage(
-                parent.trajectory.latest_quality, cand.rollout_qualities
-            )
+            est = estimate_predictable_advantage(parent.quality, cand.rollout_qualities)
         except (NumericInputError, PreconditionError) as exc:
             raise type(exc)(
                 f"candidate {cand.index} of path {cand.parent_path_id}: {exc}"
             ) from exc
-        scored.append((cand, est.drift))
-    return scored
+        drifts.append(est.drift)
+    return drifts
 
 
 def check_stop(
     drifts: Sequence[float],
     config: DecodeConfig,
     step_index: int,
-) -> tuple[bool, Optional[str]]:
-    """Convergence test over the best available drift, plus the hard cap."""
+) -> Optional[str]:
+    """Convergence test over the best available drift, plus the hard cap.
+    Returns the stop reason, or None to keep deliberating."""
     if not drifts:
         raise PreconditionError("check_stop over empty candidates")
     max_drift = max(drifts)
     if epsilon_enabled(config.epsilon_stop) and has_converged(max_drift, config.epsilon_stop):
-        return True, STOP_CONVERGED
+        return STOP_CONVERGED
     if step_index >= config.max_steps:
-        return True, STOP_MAX_STEPS
-    return False, None
+        return STOP_MAX_STEPS
+    return None
 
 
 def select_beam(
-    scored: Sequence[tuple[Candidate, float]],
+    candidates: Sequence[Candidate],
+    scores: Sequence[float],
     beam: BeamState,
     config: DecodeConfig,
     rng: np.random.Generator,
-) -> list[tuple[int, Candidate, float]]:
+) -> list[tuple[BeamPath, Candidate, float]]:
     """Sample the next beam from the candidates by softmax(score / tau).
 
-    Finished active paths keep their slots; the sampler fills the rest.
-    Returns (new_path_id, candidate, weight) in draw order for the trace.
+    Finished paths keep their slots; the sampler fills the rest.
+    Returns (child path, candidate, weight) in draw order for the trace.
     """
-    if not scored:
+    if not candidates:
         raise PreconditionError("select_beam over empty candidates")
-    scores = [drift for _, drift in scored]
     if config.selection == "uniform":
         weights = [1.0 / len(scores)] * len(scores)
     else:
         weights = softmax_weights(scores, config.temperature)
-    held = [p for p in beam.paths if p.active and p.finished]
+    held = [p for p in beam.paths if p.finished]
     slots = max(config.beam_size - len(held), 0)
-    picked = sample_without_replacement(weights, min(slots, len(scored)), rng)
+    picked = sample_without_replacement(weights, min(slots, len(candidates)), rng)
 
     by_id = {p.path_id: p for p in beam.paths}
-    step = beam.step_index + 1
-    selections: list[tuple[int, Candidate, float]] = []
-    children: list[BeamPath] = []
+    selections: list[tuple[BeamPath, Candidate, float]] = []
     for index in picked:
-        cand, _ = scored[index]
+        cand = candidates[index]
         parent = by_id[cand.parent_path_id]
         prefix = parent.prefix + cand.step_text
         if cand.finish_reason == "delimiter" and not prefix.endswith(config.step_delimiter):
@@ -462,56 +443,41 @@ def select_beam(
         child = BeamPath(
             path_id=beam.next_path_id,
             prefix=prefix,
-            trajectory=parent.trajectory.fork(beam.next_path_id),
+            quality=cand.quality,
             finished=cand.finish_reason == FINISH_EOS,
         )
-        child.trajectory.append(step, cand.quality)
         beam.next_path_id += 1
-        children.append(child)
-        selections.append((child.path_id, cand, weights[index]))
+        selections.append((child, cand, weights[index]))
 
-    for path in beam.live_paths():
-        path.active = False
-    beam.paths = held + children
-    beam.step_index = step
+    beam.paths = held + [child for child, _, _ in selections]
+    beam.step_index += 1
     return selections
 
 
 def prune_beam(beam: BeamState, config: DecodeConfig) -> tuple[
-    Optional[AdaptiveThreshold], list[tuple[int, float]], list[PruneRecord]
+    Optional[AdaptiveThreshold], list[tuple[int, float]], list[int]
 ]:
-    """Deactivate paths whose deficit crosses the adaptive threshold.
+    """Drop the paths whose deficit crosses the adaptive threshold.
 
-    The threshold is recomputed from the active paths' current qualities.
-    The first path holding the maximal quality is never deactivated, and a
+    The threshold is recomputed from the beam's current qualities. The
+    first path holding the maximal quality is never pruned, and a
     zero-sigma (all-equal) round prunes nothing: a zero-width band carries
-    no significance.
+    no significance. Returns (threshold, deficits, pruned path ids).
     """
-    active = beam.active_paths()
-    if not active:
-        raise PreconditionError("prune_beam requires >= 1 active path")
-    qualities = [(p, p.trajectory.latest_quality) for p in active]
-    deficits = [(p.path_id, deficit(max(q for _, q in qualities), q)) for p, q in qualities]
-    if len(active) == 1:
+    qualities = [p.quality for p in beam.paths]
+    if not qualities or None in qualities:
+        raise PreconditionError("prune_beam requires >= 1 path, each with a quality")
+    best_quality = max(qualities)
+    deficits = [(p.path_id, deficit(best_quality, p.quality)) for p in beam.paths]
+    if len(beam.paths) == 1:
         return None, deficits, []
-    threshold = adaptive_threshold([q for _, q in qualities], config.lambda1)
+    threshold = adaptive_threshold(qualities, config.lambda1)
     if threshold.sigma == 0.0:
         return threshold, deficits, []
-    best_quality = max(q for _, q in qualities)
-    protected = next(p.path_id for p, q in qualities if q == best_quality)
-    pruned: list[PruneRecord] = []
-    for (path, _), (path_id, deficit_value) in zip(qualities, deficits):
-        if path_id == protected:
-            continue
-        if should_prune(deficit_value, threshold):
-            path.active = False
-            record = PruneRecord(
-                path_id=path_id,
-                step_index=beam.step_index,
-                deficit_value=deficit_value,
-                threshold=threshold,
-            )
-            pruned.append(record)
+    protected = qualities.index(best_quality)
+    pruned = [pid for index, (pid, deficit_value) in enumerate(deficits)
+              if index != protected and should_prune(deficit_value, threshold)]
+    beam.paths = [p for p in beam.paths if p.path_id not in pruned]
     return threshold, deficits, pruned
 
 
@@ -533,7 +499,7 @@ def finalize(
     """
     completions: list[tuple[int, Optional[str]]] = []
     answered: list[tuple[int, str]] = []
-    for path in beam.active_paths():
+    for path in beam.paths:
         rng = substream(config.seed, TAG_COMPLETE, path.path_id)
         sample = model.complete(path.prefix, config.max_completion_tokens, rng)
         beam.tokens_generated += len(sample.token_logprobs)
@@ -604,7 +570,7 @@ def run_loop(
             beam.stop_reason = STOP_EXHAUSTED
             break
         step = beam.step_index + 1
-        candidates = expand_beam(model, beam, config, step_index=step)
+        candidates = expand_beam(model, beam, config)
         trace.append({
             "event": "expand",
             "method": method,
@@ -624,10 +590,7 @@ def run_loop(
         scores, score_fields, reason = judge(candidates, beam, step)
         trace.append({"event": "score", "method": method, "step": step, **score_fields})
         selections = select_beam(
-            list(zip(candidates, scores)),
-            beam,
-            config,
-            substream(config.seed, TAG_SELECT, step),
+            candidates, scores, beam, config, substream(config.seed, TAG_SELECT, step)
         )
         trace.append({
             "event": "select",
@@ -635,14 +598,14 @@ def run_loop(
             "step": step,
             "selected": [
                 {
-                    "path_id": pid,
+                    "path_id": child.path_id,
                     "parent": cand.parent_path_id,
                     "index": cand.index,
                     "weight": weight,
-                    "quality": cand.quality,
-                    "finished": cand.finish_reason == FINISH_EOS,
+                    "quality": child.quality,
+                    "finished": child.finished,
                 }
-                for pid, cand, weight in selections
+                for child, cand, weight in selections
             ],
         })
         if prune:
@@ -658,7 +621,7 @@ def run_loop(
                     "value": threshold.value,
                 },
                 "deficits": [[pid, d] for pid, d in deficits],
-                "pruned": [r.path_id for r in pruned],
+                "pruned": pruned,
             })
         if reason is not None:
             beam.stop_reason = reason
@@ -684,9 +647,8 @@ def decode(
     def judge(
         candidates: Sequence[Candidate], beam: BeamState, step: int
     ) -> tuple[list[float], dict, Optional[str]]:
-        drifts = [drift for _, drift in score_candidates(candidates, beam)]
-        _, reason = check_stop(drifts, config, step)
-        return drifts, {"drifts": drifts}, reason
+        drifts = score_candidates(candidates, beam)
+        return drifts, {"drifts": drifts}, check_stop(drifts, config, step)
 
     return run_loop(
         model,

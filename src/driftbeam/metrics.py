@@ -82,14 +82,23 @@ def _as_int(value, name: str) -> int:
     raise PreconditionError(f"{name} must be an integer count, got {value!r}")
 
 
+_EXACT_TYPES = {"int": int, "str": str}
+
+
 def _record_fields(cls: type, data) -> dict:
-    """A copy of `data`, checked to hold exactly the fields of `cls`."""
+    """A copy of `data`, checked to hold exactly the fields of `cls`, each
+    int or str field with exactly that type (a bool is not a count)."""
     if not isinstance(data, Mapping):
         raise DatasetError(f"{cls.__name__} record must be a mapping, got {type(data).__name__}")
     names = {f.name for f in fields(cls)}
     missing, extra = sorted(names - set(data)), sorted(set(data) - names)
     if missing or extra:
         raise DatasetError(f"{cls.__name__} record: missing keys {missing}, extra keys {extra}")
+    for f in fields(cls):
+        want = _EXACT_TYPES.get(f.type)
+        if want is not None and type(data[f.name]) is not want:
+            raise DatasetError(f"{cls.__name__} record: {f.name} must be {f.type}, "
+                               f"got {data[f.name]!r:.40}")
     return dict(data)
 
 
@@ -161,6 +170,8 @@ class RunMetrics:
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunMetrics":
         record = _record_fields(cls, data)
+        if not isinstance(record["per_example"], list):
+            raise DatasetError("RunMetrics record: per_example must be a list")
         record["per_example"] = tuple(PerExample.from_dict(e) for e in record["per_example"])
         return cls(**record)
 

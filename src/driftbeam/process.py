@@ -16,14 +16,12 @@ NumericInputError naming its input, never OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NumericInputError, PreconditionError
 
 __all__ = [
-    "QualityPoint",
-    "QualityTrajectory",
     "DoobEstimate",
     "AdaptiveThreshold",
     "TrajectoryStats",
@@ -70,55 +68,6 @@ def _variance(values: Sequence[float], mean: float, name: str) -> float:
         return math.fsum((v - mean) ** 2 for v in values) / len(values)
     except OverflowError:
         raise NumericInputError(f"{name} squared deviations overflow the float range") from None
-
-
-@dataclass(frozen=True, slots=True)
-class QualityPoint:
-    """One observation of a path's quality process: (step t, F_t)."""
-
-    step_index: int
-    quality: float
-
-    def __post_init__(self) -> None:
-        if self.step_index < 0:
-            raise PreconditionError(f"step_index must be >= 0, got {self.step_index}")
-        _check_finite(self.quality, "quality")
-
-
-@dataclass(slots=True)
-class QualityTrajectory:
-    """Append-only quality history of one path.
-
-    Points are contiguous in step_index from the first recorded index, and
-    appending never touches earlier points: the value at step t depends only
-    on information available up to t.
-    """
-
-    path_id: int
-    points: list[QualityPoint] = field(default_factory=list)
-
-    def append(self, step_index: int, quality: float) -> QualityPoint:
-        if self.points and step_index != self.points[-1].step_index + 1:
-            raise PreconditionError(
-                f"step_index {step_index} breaks contiguity after "
-                f"{self.points[-1].step_index} (path {self.path_id})"
-            )
-        point = QualityPoint(step_index, quality)
-        self.points.append(point)
-        return point
-
-    def fork(self, new_path_id: int) -> "QualityTrajectory":
-        """Copy for a child path; the shared history is never mutated."""
-        return QualityTrajectory(new_path_id, list(self.points))
-
-    @property
-    def latest_quality(self) -> float:
-        if not self.points:
-            raise PreconditionError(f"trajectory of path {self.path_id} is empty")
-        return self.points[-1].quality
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,6 @@ from driftbeam.backends import load_fixture
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
 from driftbeam.engine import BeamPath, BeamState, Candidate
 from driftbeam.metrics import PerExample
-from driftbeam.process import QualityTrajectory
 from driftbeam.runner import decode_with, execute_run, parse_config, write_outputs
 
 from fixture_specs import METHODS, SPECS, decode_config_for, phi_config_for
@@ -175,24 +174,21 @@ def test_criterion_06_prune_safety():
         qualities = rng.normal(0.0, 1.0, width)
         if i % 10 == 0:
             qualities[:] = qualities[0]  # zero-sigma round
-        paths = []
-        for pid, quality in enumerate(qualities.tolist()):
-            trajectory = QualityTrajectory(pid)
-            trajectory.append(1, quality)
-            paths.append(BeamPath(path_id=pid, prefix=f"P{pid}\n", trajectory=trajectory))
+        paths = [BeamPath(path_id=pid, prefix=f"P{pid}\n", quality=quality)
+                 for pid, quality in enumerate(qualities.tolist())]
         beam = BeamState(paths=paths)
         beam.step_index = 1
         beam.next_path_id = width
 
         best_before = max(qualities.tolist())
         config = DecodeConfig(beam_size=8, lambda1=float(rng.uniform(0.0, 2.0)))
-        threshold, _, records = prune_beam(beam, config)
-        survivors = beam.active_paths()
+        threshold, deficits, pruned = prune_beam(beam, config)
+        survivors = beam.paths
         assert 1 <= len(survivors) <= config.beam_size
-        assert max(p.trajectory.latest_quality for p in survivors) == best_before
-        for entry in records:
-            assert entry.deficit_value >= entry.threshold.value
-        pruned_total += len(records)
+        assert max(p.quality for p in survivors) == best_before
+        for pid in pruned:
+            assert dict(deficits)[pid] >= threshold.value
+        pruned_total += len(pruned)
     record(6, f"best path survived all {rounds} rounds ({pruned_total} prunes recorded)")
 
 

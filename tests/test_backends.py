@@ -225,6 +225,13 @@ class TestScripted:
         with pytest.raises(ProtocolError, match="invalid JSON"):
             load_fixture(path)
 
+    @pytest.mark.parametrize("field", ["prefix_hash", "text", "logprobs", "finish_reason"])
+    def test_record_list_missing_field_is_protocol_error(self, field):
+        records = self._records()
+        del records[1][field]
+        with pytest.raises(ProtocolError, match=f"fixture record 1: missing field '{field}'"):
+            ScriptedModel(records)
+
     @pytest.mark.parametrize("logprobs", [None, [None], [[1]], ["-0.5"], [True]])
     def test_non_numeric_logprobs_are_protocol_errors(self, tmp_path, logprobs):
         records = self._records()

@@ -184,6 +184,16 @@ class TestDecode:
         assert json.loads(with_file)["stop_step"] <= 2
         assert json.loads(with_flag)["stop_step"] <= 1
 
+    @pytest.mark.parametrize("root", ["- 1\n", "7\n", "just text\n"])
+    def test_non_mapping_config_is_error_record(self, capfd, tmp_path, root):
+        config_path = tmp_path / "list.yaml"
+        config_path.write_text(root)
+        code, out, err = run_cli(capfd, "decode", "--config", str(config_path),
+                                 "--prompt", "x", "--beam-size", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "PreconditionError",
+                                   "message": "config root must be a mapping"}
+
     def test_config_phi_section_dropped_for_mfs(self, capfd, tmp_path):
         config_path = tmp_path / "run.yaml"
         config_path.write_text(
@@ -296,6 +306,21 @@ class TestCompare:
         record = json.loads(err)
         assert record["error"] == "DatasetError"
         assert "missing keys" in record["message"]
+
+    def test_non_numeric_count_is_error_record(self, capfd, tmp_path):
+        a_dir = tmp_path / "a"
+        run_cli(capfd, "bench", "--dataset", "synthetic:2", "--seed", "13",
+                "--out", str(a_dir), *FAST)
+        payload = json.loads((a_dir / "metrics.json").read_text())
+        record = payload.get("metrics", payload)
+        record["tokens_generated"] = str(record["tokens_generated"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capfd, "compare", str(path), str(a_dir / "metrics.json"))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DatasetError"
+        assert "tokens_generated" in record["message"]
 
     def test_mismatched_sets_error(self, capfd, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -23,7 +23,6 @@ from driftbeam.engine import (
     BeamPath,
     BeamState,
     Candidate,
-    PruneRecord,
     check_stop,
     expand_beam,
     extract_answer,
@@ -36,7 +35,6 @@ from driftbeam.engine import (
     substream,
 )
 from driftbeam.metrics import canonical_json
-from driftbeam.process import QualityTrajectory, adaptive_threshold
 
 
 def mk_candidate(parent=0, index=0, quality=0.0, text="step\n",
@@ -53,11 +51,8 @@ def mk_candidate(parent=0, index=0, quality=0.0, text="step\n",
 
 
 def mk_beam(qualities, step_index=1):
-    paths = []
-    for pid, q in enumerate(qualities):
-        traj = QualityTrajectory(pid)
-        traj.append(step_index, q)
-        paths.append(BeamPath(path_id=pid, prefix=f"P{pid}\n", trajectory=traj))
+    paths = [BeamPath(path_id=pid, prefix=f"P{pid}\n", quality=q)
+             for pid, q in enumerate(qualities)]
     beam = BeamState(paths=paths)
     beam.step_index = step_index
     beam.next_path_id = len(paths)
@@ -160,13 +155,12 @@ class TestExpand:
     def test_budget_and_baseline(self, two_arm_model):
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=4, rollout_depth=4, seed=3)
         beam = BeamState.initial("Pick an arm.\n")
-        candidates = expand_beam(two_arm_model, beam, cfg, step_index=1)
+        assert beam.paths[0].quality is None
+        candidates = expand_beam(two_arm_model, beam, cfg)
         assert len(candidates) == 4  # one live path x N
         # Step-0 baseline: pooled mean over every first-expand rollout.
         pooled = [q for c in candidates for q in c.rollout_qualities]
-        root = beam.paths[0].trajectory
-        assert len(root.points) == 1 and root.points[0].step_index == 0
-        assert root.points[0].quality == pytest.approx(
+        assert beam.paths[0].quality == pytest.approx(
             math.fsum(pooled) / len(pooled), abs=1e-12
         )
         # Tokens: every step and rollout token is counted; rollouts tracked apart.
@@ -179,15 +173,15 @@ class TestExpand:
         beam = mk_beam([0.1, 0.2, 0.3])
         for p in beam.paths:
             p.prefix = "Pick.\nconsider arm A\n"
-        beam.paths[0].active = False
-        candidates = expand_beam(two_arm_model, beam, cfg, step_index=2)
+        beam.paths[0].finished = True
+        candidates = expand_beam(two_arm_model, beam, cfg)
         assert len(candidates) == 2 * 2  # two live paths remain
 
     def test_no_live_paths_stalls(self, two_arm_model):
         beam = mk_beam([0.1])
-        beam.paths[0].active = False
+        beam.paths[0].finished = True
         with pytest.raises(DecodeStalledError):
-            expand_beam(two_arm_model, beam, DecodeConfig(), step_index=2)
+            expand_beam(two_arm_model, beam, DecodeConfig())
 
 
 class TestScore:
@@ -197,57 +191,58 @@ class TestScore:
             mk_candidate(parent=0, quality=-0.7),
             mk_candidate(parent=0, index=1, quality=-1.2),
         ]
-        scored = score_candidates(cands, beam)
-        assert scored[0][1] == pytest.approx(0.3, abs=1e-12)
-        assert scored[1][1] == pytest.approx(-0.2, abs=1e-12)
+        drifts = score_candidates(cands, beam)
+        assert drifts[0] == pytest.approx(0.3, abs=1e-12)
+        assert drifts[1] == pytest.approx(-0.2, abs=1e-12)
+
+
+    def test_parent_without_quality_is_precondition_error(self):
+        beam = BeamState.initial("Q\n")
+        with pytest.raises(PreconditionError, match="path 0 has no quality"):
+            score_candidates([mk_candidate(parent=0)], beam)
 
 
 class TestCheckStop:
     def test_converged_below_epsilon(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=10)
-        assert check_stop([1e-7, -0.5], cfg, 3) == (True, STOP_CONVERGED)
+        assert check_stop([1e-7, -0.5], cfg, 3) == STOP_CONVERGED
 
     def test_not_converged_above_epsilon(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=10)
-        assert check_stop([0.5], cfg, 3) == (False, None)
+        assert check_stop([0.5], cfg, 3) is None
 
     def test_max_steps_cap(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=3)
-        assert check_stop([0.5], cfg, 3) == (True, STOP_MAX_STEPS)
+        assert check_stop([0.5], cfg, 3) == STOP_MAX_STEPS
 
     def test_converged_takes_precedence_at_cap(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=3)
-        assert check_stop([0.0], cfg, 3) == (True, STOP_CONVERGED)
+        assert check_stop([0.0], cfg, 3) == STOP_CONVERGED
 
     def test_disabled_epsilon_never_converges(self):
         cfg = DecodeConfig(epsilon_stop=None, max_steps=10)
-        assert check_stop([-5.0], cfg, 2) == (False, None)
+        assert check_stop([-5.0], cfg, 2) is None
 
 
 class TestSelect:
     def test_fills_beam_and_appends_quality(self):
         beam = mk_beam([0.0, 0.0])
-        scored = [
-            (mk_candidate(parent=0, index=i, quality=0.1 * i), 0.1 * i)
-            for i in range(4)
-        ]
+        cands = [mk_candidate(parent=0, index=i, quality=0.1 * i) for i in range(4)]
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=4)
-        picks = select_beam(scored, beam, cfg, substream(0, 4, 1))
+        picks = select_beam(cands, [0.1 * i for i in range(4)], beam, cfg, substream(0, 4, 1))
         assert len(picks) == 2
         assert beam.step_index == 2
-        assert len(beam.paths) == 2
-        for pid, cand, weight in picks:
-            path = next(p for p in beam.paths if p.path_id == pid)
-            assert path.trajectory.latest_quality == pytest.approx(cand.quality)
-            assert path.trajectory.points[-1].step_index == 2
+        assert beam.paths == [child for child, _, _ in picks]
+        for child, cand, weight in picks:
+            assert child.quality == cand.quality
             assert 0.0 <= weight <= 1.0
 
     def test_path_ids_are_fresh_and_increasing(self):
         beam = mk_beam([0.0])
-        scored = [(mk_candidate(parent=0, index=i), 0.0) for i in range(3)]
+        cands = [mk_candidate(parent=0, index=i) for i in range(3)]
         cfg = DecodeConfig(beam_size=3, rollouts_per_candidate=3)
-        picks = select_beam(scored, beam, cfg, substream(0, 4, 2))
-        new_ids = [pid for pid, _, _ in picks]
+        picks = select_beam(cands, [0.0] * 3, beam, cfg, substream(0, 4, 2))
+        new_ids = [child.path_id for child, _, _ in picks]
         assert sorted(new_ids) == new_ids
         assert min(new_ids) >= 1  # never reuses the parent's id
         assert beam.next_path_id == 1 + len(new_ids)
@@ -255,26 +250,26 @@ class TestSelect:
     def test_finished_paths_hold_slots(self):
         beam = mk_beam([0.5, 0.1])
         beam.paths[0].finished = True
-        scored = [(mk_candidate(parent=1, index=i), 0.0) for i in range(4)]
+        cands = [mk_candidate(parent=1, index=i) for i in range(4)]
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=4)
-        select_beam(scored, beam, cfg, substream(0, 4, 3))
+        select_beam(cands, [0.0] * 4, beam, cfg, substream(0, 4, 3))
         assert len(beam.paths) == 2
         assert beam.paths[0].path_id == 0 and beam.paths[0].finished
 
     def test_eos_candidate_becomes_finished_child(self):
         beam = mk_beam([0.0])
-        scored = [(mk_candidate(parent=0, text="Answer: A", finish="end-of-sequence"), 0.3)]
+        cands = [mk_candidate(parent=0, text="Answer: A", finish="end-of-sequence")]
         cfg = DecodeConfig(beam_size=1, rollouts_per_candidate=1)
-        select_beam(scored, beam, cfg, substream(0, 4, 4))
+        select_beam(cands, [0.3], beam, cfg, substream(0, 4, 4))
         assert beam.paths[0].finished is True
         assert beam.paths[0].prefix.endswith("Answer: A")
 
     def test_delimiter_restored_when_stripped(self):
         # HTTP backends consume the stop string; the prefix must get it back.
         beam = mk_beam([0.0])
-        scored = [(mk_candidate(parent=0, text="deliberate 2", finish="delimiter"), 0.1)]
+        cands = [mk_candidate(parent=0, text="deliberate 2", finish="delimiter")]
         cfg = DecodeConfig(beam_size=1, rollouts_per_candidate=1)
-        select_beam(scored, beam, cfg, substream(0, 4, 5))
+        select_beam(cands, [0.1], beam, cfg, substream(0, 4, 5))
         assert beam.paths[0].prefix.endswith("deliberate 2\n")
 
     def test_uniform_selection_ignores_scores(self):
@@ -282,11 +277,8 @@ class TestSelect:
         counts = [0, 0]
         for trial in range(200):
             beam = mk_beam([0.0])
-            scored = [
-                (mk_candidate(parent=0, index=0), 50.0),
-                (mk_candidate(parent=0, index=1), -50.0),
-            ]
-            picks = select_beam(scored, beam, cfg, substream(trial, 4, 6))
+            cands = [mk_candidate(parent=0, index=0), mk_candidate(parent=0, index=1)]
+            picks = select_beam(cands, [50.0, -50.0], beam, cfg, substream(trial, 4, 6))
             counts[picks[0][1].index] += 1
         # Softmax would pick index 0 essentially always; uniform stays ~50/50.
         assert 60 <= counts[0] <= 140
@@ -300,15 +292,15 @@ class TestPrune:
         # mu = 0.52/3, sigma = sqrt(0.0402667/3): value = 0.266017 by hand.
         assert threshold.value == pytest.approx(0.266017, abs=1e-6)
         assert dict(deficits)[2] == pytest.approx(0.28, abs=1e-12)
-        assert [r.path_id for r in pruned] == [2]
-        assert [p.path_id for p in beam.active_paths()] == [0, 1]
+        assert pruned == [2]
+        assert [p.path_id for p in beam.paths] == [0, 1]
 
     def test_all_equal_prunes_nothing(self):
         beam = mk_beam([0.1, 0.1, 0.1])
         threshold, _, pruned = prune_beam(beam, DecodeConfig(lambda1=0.8))
         assert threshold is not None and threshold.sigma == 0.0
         assert pruned == []
-        assert len(beam.active_paths()) == 3
+        assert len(beam.paths) == 3
 
     def test_single_path_skips_threshold(self):
         beam = mk_beam([0.4])
@@ -317,16 +309,16 @@ class TestPrune:
         assert deficits == [(0, 0.0)]
         assert pruned == []
 
+    @pytest.mark.parametrize("beam", [BeamState(paths=[]), BeamState.initial("Q\n")])
+    def test_empty_beam_or_missing_quality_rejected(self, beam):
+        with pytest.raises(PreconditionError):
+            prune_beam(beam, DecodeConfig())
+
     def test_best_path_survives_even_at_huge_lambda(self):
         beam = mk_beam([0.9, -5.0, -9.0])
         _, _, pruned = prune_beam(beam, DecodeConfig(lambda1=0.0))
-        survivors = [p.path_id for p in beam.active_paths()]
+        survivors = [p.path_id for p in beam.paths]
         assert 0 in survivors
-
-    def test_prune_record_invariant(self):
-        th = adaptive_threshold([0.3, 0.2, 0.02], 0.8)
-        with pytest.raises(PreconditionError):
-            PruneRecord(path_id=1, step_index=1, deficit_value=0.1, threshold=th)
 
     @given(
         qualities=st.lists(
@@ -340,11 +332,12 @@ class TestPrune:
         threshold, deficits, pruned = prune_beam(beam, DecodeConfig(lambda1=lam))
         best = max(qualities)
         first_best = qualities.index(best)
-        survivors = {p.path_id for p in beam.active_paths()}
+        survivors = {p.path_id for p in beam.paths}
         assert first_best in survivors  # the leader is never pruned
         assert survivors  # beam never empties
-        for record in pruned:
-            assert record.deficit_value >= record.threshold.value
+        assert survivors.isdisjoint(pruned)
+        for pid in pruned:
+            assert dict(deficits)[pid] >= threshold.value
         if threshold is not None and threshold.sigma == 0.0:
             assert pruned == []
 
@@ -363,11 +356,7 @@ class TestFinalize:
         return ScriptedModel(records)
 
     def _beam(self, pids):
-        paths = []
-        for pid in pids:
-            traj = QualityTrajectory(pid)
-            traj.append(1, 0.0)
-            paths.append(BeamPath(path_id=pid, prefix=f"T\nP{pid}\n", trajectory=traj))
+        paths = [BeamPath(path_id=pid, prefix=f"T\nP{pid}\n", quality=0.0) for pid in pids]
         beam = BeamState(paths=paths)
         beam.step_index = 1
         beam.stop_reason = "converged"
@@ -442,6 +431,28 @@ class TestDecodeEndToEnd:
         assert body[2::4] == ["select"] * (len(body) // 4)
         assert body[3::4] == ["prune"] * (len(body) // 4)
         assert all(e["method"] == "mfs" for e in result.trace)
+
+    def test_pruned_paths_never_return(self, two_arm_task):
+        # Pruning is a stopping time: once a path id is listed as pruned, no
+        # later expand, select, prune or finalize event may refer to it.
+        cfg = DecodeConfig(beam_size=4, rollouts_per_candidate=4, rollout_depth=5,
+                           max_steps=10, seed=1)
+        result = decode(SyntheticModel(two_arm_task), "Pick the best arm.\n", cfg)
+        gone: set[int] = set()
+        for event in result.trace:
+            if event["event"] == "expand":
+                referenced = {c["parent"] for c in event["candidates"]}
+            elif event["event"] == "select":
+                referenced = {s["parent"] for s in event["selected"]}
+            elif event["event"] == "prune":
+                referenced = {pid for pid, _ in event["deficits"]}
+            elif event["event"] == "finalize":
+                referenced = {pid for pid, _ in event["completions"]}
+            else:
+                continue
+            assert gone.isdisjoint(referenced), event["event"]
+            gone.update(event.get("pruned", ()))
+        assert len(gone) >= 3  # the seed prunes, so the check has teeth
 
     def test_budget_bound_every_step(self, two_arm_task, small_config):
         result = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)

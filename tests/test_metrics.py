@@ -157,6 +157,24 @@ class TestRunMetrics:
         with pytest.raises(DatasetError, match=re.escape(named)):
             RunMetrics.from_dict(record)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda d: d.update(tokens_generated="1"), "tokens_generated must be int"),
+            (lambda d: d.update(total=True), "total must be int"),
+            (lambda d: d.update(flops=float(d["flops"])), "flops must be int"),
+            (lambda d: d["per_example"][0].update(tokens="10"), "tokens must be int"),
+            (lambda d: d["per_example"][0].update(predicted=4), "predicted must be str"),
+            (lambda d: d.update(per_example=5), "per_example must be a list"),
+            (lambda d: d.update(per_example={"t1": 1}), "per_example must be a list"),
+        ],
+    )
+    def test_from_dict_names_bad_values(self, change, named):
+        record = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123).to_dict()
+        change(record)
+        with pytest.raises(DatasetError, match=re.escape(named)):
+            RunMetrics.from_dict(record)
+
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(DatasetError, match="must be a mapping"):
             PerExample.from_dict(["t1", "4", "4", 10, 2, 0])

@@ -15,7 +15,6 @@ from driftbeam import (
     DoobEstimate,
     NumericInputError,
     PreconditionError,
-    QualityTrajectory,
     adaptive_threshold,
     deficit,
     estimate_predictable_advantage,
@@ -161,43 +160,6 @@ class TestHasConverged:
     def test_epsilon_validation(self):
         with pytest.raises(PreconditionError):
             has_converged(0.1, -1e-9)
-
-
-class TestTrajectory:
-    def test_append_and_latest(self):
-        traj = QualityTrajectory(path_id=0)
-        traj.append(0, -0.5)
-        traj.append(1, -0.4)
-        assert traj.latest_quality == -0.4
-        assert len(traj) == 2
-
-    def test_contiguity_enforced(self):
-        traj = QualityTrajectory(path_id=0)
-        traj.append(2, -0.1)
-        with pytest.raises(PreconditionError):
-            traj.append(4, -0.2)
-
-    def test_fork_isolated(self):
-        parent = QualityTrajectory(path_id=0)
-        parent.append(0, -0.9)
-        child = parent.fork(5)
-        child.append(1, -0.3)
-        assert len(parent) == 1
-        assert child.path_id == 5
-        assert child.points[0] == parent.points[0]
-
-    def test_empty_latest_raises(self):
-        with pytest.raises(PreconditionError):
-            QualityTrajectory(path_id=3).latest_quality
-
-    @given(qs=st.lists(finite, min_size=1, max_size=20))
-    @settings(max_examples=50)
-    def test_append_only_history(self, qs):
-        traj = QualityTrajectory(path_id=1)
-        for i, q in enumerate(qs):
-            before = list(traj.points)
-            traj.append(i, q)
-            assert traj.points[: len(before)] == before
 
 
 class TestTrajectoryStatistics:
