@@ -85,7 +85,6 @@ from .runner import (
     SweepPoint,
     execute_run,
     parse_config,
-    run,
     serialize_config,
     sweep,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "phi_stop",
     "prune_beam",
     "quality_of",
-    "run",
     "save_dataset",
     "score_candidates",
     "select_beam",

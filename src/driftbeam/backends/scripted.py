@@ -57,6 +57,8 @@ def load_fixture(path: Union[str, Path]) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ProtocolError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ProtocolError(f"{path}:{line_no}: not a JSON object")
             for field in ("prefix_hash", "text", "logprobs", "finish_reason"):
                 if field not in record:
                     raise ProtocolError(f"{path}:{line_no}: missing field {field!r}")
@@ -80,6 +82,8 @@ class ScriptedModel(SequenceModel):
             records = load_fixture(records)
         self._queues: dict[str, list[StepSample]] = defaultdict(list)
         for index, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise ProtocolError(f"fixture record {index}: not a JSON object")
             try:
                 sample = StepSample(
                     record["text"],

@@ -5,14 +5,16 @@ stops deliberating once the largest answer cluster covers a delta fraction
 of the candidates. Its Advantage term is *literally* the drift estimator —
 the same function call — so the two methods differ only in alignment
 weighting, the stop rule, and the absence of pruning. The plain
-autoregressive baseline completes the prompt in one shot.
+autoregressive baseline is the root path finalized with no deliberation
+step: one completion of the prompt, voted on alone.
 
 The consensus decoder runs the drift decoder's loop, expand -> score and
 stop -> select, with no prune phase. Its per-step judge clusters the
 rollout answers once and takes both the alignment scores and the consensus
-stop from that clustering. Both baselines emit the drift decoder's trace
-format, tagged with their own method names, which is what makes token and
-FLOPs comparisons between the three methods meaningful.
+stop from that clustering; the loop adds the step cap. Both baselines end
+in the drift decoder's `finalize` and emit its trace format, tagged with
+their own method names, which is what makes token and FLOPs comparisons
+between the three methods meaningful.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from typing import Optional, Sequence
 from .backends.base import SequenceModel
 from .engine import (
     DEFAULT_ANSWER_PATTERN,
-    STOP_MAX_STEPS,
-    TAG_COMPLETE,
     BeamState,
     Candidate,
     DecodeConfig,
     DecodeResult,
     extract_answer,
+    finalize,
     run_loop,
     score_candidates,
-    substream,
 )
 from .errors import PreconditionError
 from .process import estimate_predictable_advantage
@@ -160,19 +160,14 @@ def phi_decode(
     phi = phi or PhiConfig()
 
     def judge(
-        candidates: Sequence[Candidate], beam: BeamState, step: int
+        candidates: Sequence[Candidate], beam: BeamState
     ) -> tuple[list[float], dict, Optional[str]]:
         advantages = score_candidates(candidates, beam)
         alignments = phi_alignment(candidates, phi, config.answer_pattern)
         combined = [
             combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)
         ]
-        if _consensus(alignments, phi):
-            reason = STOP_CONSENSUS
-        elif step >= config.max_steps:
-            reason = STOP_MAX_STEPS
-        else:
-            reason = None
+        reason = STOP_CONSENSUS if _consensus(alignments, phi) else None
         fields = {"advantage": advantages, "alignment": alignments, "combined": combined}
         return combined, fields, reason
 
@@ -191,30 +186,10 @@ def ar_cot_decode(
     task_prompt: str,
     config: DecodeConfig,
 ) -> DecodeResult:
-    """Single autoregressive completion, no foresight, no beam."""
-    model = model.fresh()
-    rng = substream(config.seed, TAG_COMPLETE, 0)
-    sample = model.complete(task_prompt, config.max_completion_tokens, rng)
-    answer = extract_answer(sample.text, config.answer_pattern)
-    flagged = answer is None
-    trace = (
-        {"event": "stop", "method": "ar-cot", "step": 0, "reason": STOP_COMPLETED},
-        {
-            "event": "finalize",
-            "method": "ar-cot",
-            "step": 0,
-            "completions": [[0, answer]],
-            "final_answer": answer or "",
-            "flagged": flagged,
-        },
-    )
-    return DecodeResult(
-        final_answer=answer or "",
-        per_path_answers=() if flagged else ((0, answer),),
-        trace=trace,
-        tokens_generated=len(sample.token_logprobs),
-        rollout_tokens=0,
-        stop_reason=STOP_COMPLETED,
-        stop_step=0,
-        flagged=flagged,
+    """Single autoregressive completion, no foresight, no beam: the root
+    path finalized with no deliberation step."""
+    beam = BeamState.initial(task_prompt)
+    beam.stop_reason = STOP_COMPLETED
+    return finalize(
+        model.fresh(), beam, config, task_prompt=task_prompt, method="ar-cot", trace=[]
     )

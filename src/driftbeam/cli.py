@@ -101,7 +101,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if section:
-            raw[section] = {**(raw.get(section) or {}), key: value}
+            current = raw.get(section)
+            if current is not None and not isinstance(current, dict):
+                raise PreconditionError(f"{section} section must be a mapping")
+            raw[section] = {**(current or {}), key: value}
         elif key in _RUN_FIELDS:
             raw[key] = value
     # A phi section exists iff the effective method is phi: a config file may

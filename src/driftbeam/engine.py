@@ -10,7 +10,10 @@ autoregressively and majority-voted.
 
 Each iteration runs expand -> score and stop -> select -> prune, and the
 loop exits after the iteration in which the stop fired (the converged
-step's selection still lands in the beam). Every intermediate quantity is
+step's selection still lands in the beam). The method's own stop rule
+comes first; `run_loop` applies the max_steps cap when that rule does not
+fire. Every decode, the baselines' included, ends in `finalize`, which
+writes the `stop` and `finalize` events. Every intermediate quantity is
 emitted on an append-only trace (one JSON-ready dict per event) so runs can
 be audited or re-plotted without rerunning the model.
 
@@ -339,17 +342,6 @@ def expand_beam(
                 ) from exc
             results.append((path, cand_index, step_sample, rollouts))
 
-    # Pooled first-expand mean initializes the quality process: the prompt's
-    # own value F_0 is the average of everything foresight saw from it.
-    fresh_parents = [p for p in live if p.quality is None]
-    if fresh_parents:
-        baseline = finite_mean(
-            [quality_of(r) for (_, _, _, rollouts) in results for r in rollouts],
-            "first-step rollout qualities",
-        )
-        for parent in fresh_parents:
-            parent.quality = baseline
-
     candidates: list[Candidate] = []
     for path, cand_index, step_sample, rollouts in results:
         candidates.append(
@@ -370,6 +362,17 @@ def expand_beam(
 
     if not candidates:
         raise DecodeStalledError("expand produced zero candidates")
+
+    # Pooled first-expand mean initializes the quality process: the prompt's
+    # own value F_0 is the average of everything foresight saw from it.
+    fresh_parents = [p for p in live if p.quality is None]
+    if fresh_parents:
+        baseline = finite_mean(
+            [q for c in candidates for q in c.rollout_qualities],
+            "first-step rollout qualities",
+        )
+        for parent in fresh_parents:
+            parent.quality = baseline
     return candidates
 
 
@@ -391,20 +394,14 @@ def score_candidates(candidates: Sequence[Candidate], beam: BeamState) -> list[f
     return drifts
 
 
-def check_stop(
-    drifts: Sequence[float],
-    config: DecodeConfig,
-    step_index: int,
-) -> Optional[str]:
-    """Convergence test over the best available drift, plus the hard cap.
-    Returns the stop reason, or None to keep deliberating."""
+def check_stop(drifts: Sequence[float], config: DecodeConfig) -> Optional[str]:
+    """Convergence test over the best available drift. Returns the stop
+    reason, or None to keep deliberating."""
     if not drifts:
         raise PreconditionError("check_stop over empty candidates")
     max_drift = max(drifts)
     if epsilon_enabled(config.epsilon_stop) and has_converged(max_drift, config.epsilon_stop):
         return STOP_CONVERGED
-    if step_index >= config.max_steps:
-        return STOP_MAX_STEPS
     return None
 
 
@@ -490,13 +487,22 @@ def finalize(
     method: str,
     trace: list[dict],
 ) -> DecodeResult:
-    """Complete survivors autoregressively and majority-vote their answers.
+    """End a decode: write the stop event, complete the surviving paths
+    autoregressively, majority-vote their answers and write the finalize
+    event.
 
     Votes are over raw extracted strings; ties break to the answer whose
     earliest supporting path has the lowest path id. Paths yielding no
     extractable answer abstain; zero answers flags the result instead of
     raising.
     """
+    stop_reason = beam.stop_reason or STOP_EXHAUSTED
+    trace.append({
+        "event": "stop",
+        "method": method,
+        "step": beam.step_index,
+        "reason": stop_reason,
+    })
     completions: list[tuple[int, Optional[str]]] = []
     answered: list[tuple[int, str]] = []
     for path in beam.paths:
@@ -534,7 +540,7 @@ def finalize(
         trace=tuple(trace),
         tokens_generated=beam.tokens_generated,
         rollout_tokens=beam.rollout_tokens,
-        stop_reason=beam.stop_reason or STOP_EXHAUSTED,
+        stop_reason=stop_reason,
         stop_step=beam.step_index,
         flagged=flagged,
     )
@@ -542,9 +548,9 @@ def finalize(
 
 # -- full loop ----------------------------------------------------------------
 
-# Scores one step's candidates and decides whether deliberation stops:
-# (candidates, beam, step) -> (scores, score trace fields, stop reason or None).
-Judge = Callable[[Sequence[Candidate], BeamState, int], tuple[list[float], dict, Optional[str]]]
+# Scores one step's candidates and applies the method's own stop rule:
+# (candidates, beam) -> (scores, score trace fields, stop reason or None).
+Judge = Callable[[Sequence[Candidate], BeamState], tuple[list[float], dict, Optional[str]]]
 
 
 def run_loop(
@@ -560,14 +566,15 @@ def run_loop(
 
     The judge is injected so foresight variants (consensus stopping,
     combined scores) reuse the identical loop mechanics; the
-    drift-threshold decoder is the `decode` wrapper below.
+    drift-threshold decoder is the `decode` wrapper below. The step cap
+    applies here, after the judge's own stop rule, so a converged or
+    consensus stop on the last allowed step keeps its reason.
     """
     model = model.fresh()
     beam = BeamState.initial(task_prompt)
     trace: list[dict] = []
     while True:
         if not beam.live_paths():
-            beam.stop_reason = STOP_EXHAUSTED
             break
         step = beam.step_index + 1
         candidates = expand_beam(model, beam, config)
@@ -587,7 +594,9 @@ def run_loop(
                 for c in candidates
             ],
         })
-        scores, score_fields, reason = judge(candidates, beam, step)
+        scores, score_fields, reason = judge(candidates, beam)
+        if reason is None and step >= config.max_steps:
+            reason = STOP_MAX_STEPS
         trace.append({"event": "score", "method": method, "step": step, **score_fields})
         selections = select_beam(
             candidates, scores, beam, config, substream(config.seed, TAG_SELECT, step)
@@ -626,12 +635,6 @@ def run_loop(
         if reason is not None:
             beam.stop_reason = reason
             break
-    trace.append({
-        "event": "stop",
-        "method": method,
-        "step": beam.step_index,
-        "reason": beam.stop_reason,
-    })
     return finalize(
         model, beam, config, task_prompt=task_prompt, method=method, trace=trace
     )
@@ -645,10 +648,10 @@ def decode(
     """Drift-guided beam decode with adaptive pruning and convergence stop."""
 
     def judge(
-        candidates: Sequence[Candidate], beam: BeamState, step: int
+        candidates: Sequence[Candidate], beam: BeamState
     ) -> tuple[list[float], dict, Optional[str]]:
         drifts = score_candidates(candidates, beam)
-        return drifts, {"drifts": drifts}, check_stop(drifts, config, step)
+        return drifts, {"drifts": drifts}, check_stop(drifts, config)
 
     return run_loop(
         model,

@@ -18,8 +18,6 @@ table (applied to both prediction and gold, in order):
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -221,7 +219,7 @@ def compare_runs(a: RunMetrics, b: RunMetrics) -> Comparison:
 
 # -- report emission ----------------------------------------------------------
 
-_FORMATS = ("json", "csv", "markdown")
+_FORMATS = ("json", "markdown")
 
 
 def canonical_json(payload) -> bytes:
@@ -278,14 +276,6 @@ def emit_report(
             },
         }
         return canonical_json(payload)
-    if format == "csv":
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["method", *columns, "avg", "flops"])
-        for label, row in table.items():
-            cells, avg, total = _row_cells(row, columns)
-            writer.writerow([label, *cells, avg, total])
-        return buffer.getvalue().encode("utf-8")
     header = "| Method | " + " | ".join([*columns, "Avg.", "FLOPs"]) + " |"
     rule = "|" + "---|" * (len(columns) + 3)
     lines = [header, rule]

@@ -215,6 +215,9 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise PreconditionError("config root must be a mapping")
     _check_keys(raw, RunConfig, "config")
+    for section in ("backend", "decode", "phi", "grid"):
+        if raw.get(section) is not None and not isinstance(raw[section], Mapping):
+            raise PreconditionError(f"{section} section must be a mapping")
     top = dict(raw)
 
     backend_raw = dict(raw.get("backend") or {})
@@ -427,13 +430,6 @@ def execute_run(
     if config.output_dir is not None:
         write_outputs(config, output, label=label)
     return output
-
-
-def run(
-    config: RunConfig, dataset: Optional[Sequence[TaskInstance]] = None
-) -> RunMetrics:
-    """Aggregate metrics for one configured run (see execute_run)."""
-    return execute_run(config, dataset).metrics
 
 
 def write_outputs(config: RunConfig, output: RunOutput, *, label: Optional[str] = None) -> Path:

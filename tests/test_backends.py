@@ -225,6 +225,20 @@ class TestScripted:
         with pytest.raises(ProtocolError, match="invalid JSON"):
             load_fixture(path)
 
+    @pytest.mark.parametrize("line", ["5", '"abc"', "[1]", "null"])
+    def test_fixture_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ProtocolError, match="bad.jsonl:1: not a JSON object"):
+            load_fixture(path)
+
+    @pytest.mark.parametrize("record", ["abc", 5, None])
+    def test_record_list_non_object_is_protocol_error(self, record):
+        records = self._records()
+        records[1] = record
+        with pytest.raises(ProtocolError, match="fixture record 1: not a JSON object"):
+            ScriptedModel(records)
+
     @pytest.mark.parametrize("field", ["prefix_hash", "text", "logprobs", "finish_reason"])
     def test_record_list_missing_field_is_protocol_error(self, field):
         records = self._records()

@@ -189,6 +189,17 @@ class TestPhiDecode:
         assert result.stop_reason == "max_steps"
         assert result.stop_step == 3
 
+    def test_consensus_beats_cap_on_the_same_step(self, two_arm_task):
+        cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=2, rollout_depth=5,
+                           max_steps=1, seed=2)
+        result = phi_decode(SyntheticModel(two_arm_task), "Pick.\n", cfg,
+                            PhiConfig(delta=0.0))
+        assert result.stop_reason == STOP_CONSENSUS
+        assert result.stop_step == 1
+        stops = [e for e in result.trace if e["event"] == "stop"]
+        assert stops == [{"event": "stop", "method": "phi", "step": 1,
+                          "reason": STOP_CONSENSUS}]
+
     def test_phi_tokens_at_least_mfs_tokens(self, two_arm_task):
         # No pruning and a later stop: the reference point spends at least
         # as much as the drift decoder on the same world and seed.

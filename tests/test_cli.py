@@ -194,6 +194,24 @@ class TestDecode:
         assert json.loads(err) == {"error": "PreconditionError",
                                    "message": "config root must be a mapping"}
 
+    @pytest.mark.parametrize("value", ["3", "[1]"])
+    @pytest.mark.parametrize("section,flag", [
+        ("backend", ["--arms", "2"]),
+        ("decode", ["--beam-size", "2"]),
+        ("phi", ["--delta", "0.5"]),
+        ("grid", ["--beam-size", "2"]),
+    ])
+    @pytest.mark.parametrize("with_flag", [False, True])
+    def test_non_mapping_section_is_error_record(self, capfd, tmp_path, section, flag,
+                                                 value, with_flag):
+        config_path = tmp_path / "sec.yaml"
+        config_path.write_text(f"method: phi\n{section}: {value}\n")
+        code, out, err = run_cli(capfd, "decode", "--config", str(config_path),
+                                 "--prompt", "x", *(flag if with_flag else []))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "PreconditionError",
+                                   "message": f"{section} section must be a mapping"}
+
     def test_config_phi_section_dropped_for_mfs(self, capfd, tmp_path):
         config_path = tmp_path / "run.yaml"
         config_path.write_text(

@@ -205,23 +205,19 @@ class TestScore:
 class TestCheckStop:
     def test_converged_below_epsilon(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=10)
-        assert check_stop([1e-7, -0.5], cfg, 3) == STOP_CONVERGED
+        assert check_stop([1e-7, -0.5], cfg) == STOP_CONVERGED
 
     def test_not_converged_above_epsilon(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=10)
-        assert check_stop([0.5], cfg, 3) is None
-
-    def test_max_steps_cap(self):
-        cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=3)
-        assert check_stop([0.5], cfg, 3) == STOP_MAX_STEPS
+        assert check_stop([0.5], cfg) is None
 
     def test_converged_takes_precedence_at_cap(self):
         cfg = DecodeConfig(epsilon_stop=1e-6, max_steps=3)
-        assert check_stop([0.0], cfg, 3) == STOP_CONVERGED
+        assert check_stop([0.0], cfg) == STOP_CONVERGED
 
     def test_disabled_epsilon_never_converges(self):
         cfg = DecodeConfig(epsilon_stop=None, max_steps=10)
-        assert check_stop([-5.0], cfg, 2) is None
+        assert check_stop([-5.0], cfg) is None
 
 
 class TestSelect:
@@ -478,6 +474,16 @@ class TestDecodeEndToEnd:
         result = decode(SyntheticModel(two_arm_task), "Pick.\n", cfg)
         assert result.stop_reason == STOP_MAX_STEPS
         assert result.stop_step == 2
+
+    def test_converged_beats_cap_on_the_same_step(self, two_arm_task):
+        cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=2, rollout_depth=4,
+                           epsilon_stop=1000.0, max_steps=1, seed=5)
+        result = decode(SyntheticModel(two_arm_task), "Pick.\n", cfg)
+        assert result.stop_reason == STOP_CONVERGED
+        assert result.stop_step == 1
+        stops = [e for e in result.trace if e["event"] == "stop"]
+        assert stops == [{"event": "stop", "method": "mfs", "step": 1,
+                          "reason": STOP_CONVERGED}]
 
     def test_exhausted_stop(self):
         task = SyntheticTask.two_arm(horizon=1)

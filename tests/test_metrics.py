@@ -253,12 +253,6 @@ class TestReports:
         assert lines[2] == "| mfs | 50.00 | 100.00 | 75.00 | 2.400e+08 |"
         assert lines[3] == "| ar-cot | 50.00 | - | 50.00 | 1.200e+08 |"
 
-    def test_csv_layout(self):
-        text = emit_report(self._table(), "csv").decode()
-        rows = text.splitlines()
-        assert rows[0] == "method,gsm,arc,avg,flops"
-        assert rows[1].startswith("mfs,50.00,100.00,75.00,")
-
     def test_json_roundtrip_lossless(self):
         table = self._table()
         parsed = parse_report(emit_report(table, "json"))
@@ -269,12 +263,12 @@ class TestReports:
     def test_empty_table_headers_only(self):
         md = emit_report({}, "markdown").decode()
         assert md.splitlines() == ["| Method | Avg. | FLOPs |", "|---|---|---|"]
-        csv_text = emit_report({}, "csv").decode()
-        assert csv_text.splitlines() == ["method,avg,flops"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(PreconditionError):
             emit_report({}, "xml")
+        with pytest.raises(PreconditionError):
+            emit_report({}, "csv")
 
     def test_canonical_json_is_stable(self):
         assert canonical_json({"b": 1, "a": [1.5, "x"]}) == b'{"a":[1.5,"x"],"b":1}'

@@ -20,7 +20,6 @@ from driftbeam.runner import (
     derive_instance_seed,
     execute_run,
     parse_config,
-    run,
     serialize_config,
     sweep,
 )
@@ -47,6 +46,12 @@ class TestParseConfig:
         assert config.backend.kind == "synthetic"
         assert config.decode == DecodeConfig()
         assert config.phi is None
+
+    @pytest.mark.parametrize("value", [3, [1], "text"])
+    @pytest.mark.parametrize("section", ["backend", "decode", "phi", "grid"])
+    def test_non_mapping_section_rejected(self, section, value):
+        with pytest.raises(PreconditionError, match=f"^{section} section must be a mapping$"):
+            parse_config({"method": "phi", section: value})
 
     def test_yaml_file(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -283,7 +288,7 @@ class TestExecuteRun:
         assert canonical_json(a.traces) == canonical_json(b.traces)
 
     def test_run_helper_returns_metrics(self):
-        metrics = run(fast_config(seed=3))
+        metrics = execute_run(fast_config(seed=3)).metrics
         assert metrics.total == 4
 
     def test_methods_dispatch(self):
@@ -394,6 +399,25 @@ class TestExecuteRun:
         assert [tid for tid, _ in output.failures] == ["t1", "t2"]
         for _, message in output.failures:
             assert message.startswith("ProtocolError: logprobs must be a list of numbers")
+
+    def test_non_object_fixture_line_fails_each_task_not_the_run(self, tmp_path):
+        dataset_path = tmp_path / "tasks.jsonl"
+        dataset_path.write_text(
+            '{"id": "t1", "prompt": "P1\\n", "answer": "4"}\n'
+            '{"id": "t2", "prompt": "P2\\n", "answer": "4"}\n'
+        )
+        fixture_path = tmp_path / "fx.jsonl"
+        fixture_path.write_text("5\n")
+        config = parse_config({
+            "method": "ar-cot",
+            "dataset": str(dataset_path),
+            "backend": {"kind": "scripted", "fixture": str(fixture_path)},
+        })
+        output = execute_run(config)
+        assert output.metrics.total == 0
+        assert [tid for tid, _ in output.failures] == ["t1", "t2"]
+        for _, message in output.failures:
+            assert message == f"ProtocolError: {fixture_path}:1: not a JSON object"
 
     def test_synthetic_dataset_needs_synthetic_backend(self, tmp_path):
         fixture_path = tmp_path / "fx.jsonl"
