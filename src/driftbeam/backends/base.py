@@ -49,6 +49,11 @@ class StepSample:
             raise PreconditionError(
                 f"finish_reason must be one of {FINISH_REASONS}, got {self.finish_reason!r}"
             )
+        # A finite sum proves every term finite (inf and nan propagate); only
+        # a sum that is not finite, which finite terms can reach by
+        # overflow, needs the per-token look that names the bad token.
+        if math.isfinite(sum(self.token_logprobs)):
+            return
         for i, lp in enumerate(self.token_logprobs):
             if not math.isfinite(lp):
                 raise NumericInputError(f"token_logprobs[{i}] must be finite, got {lp!r}")
@@ -73,6 +78,10 @@ class SequenceModel(ABC):
     backend documents that server-side nondeterminism breaks replay and
     flags it via `replayable`. `sample_index` is the ordinal of the draw
     within the caller's batch, for backends that stratify proposals.
+
+    The `rng` passed to each call is lent for that call only: draw from it
+    before returning and never keep it. The decode loop sets the same
+    generator to the next call's stream as soon as the call returns.
     """
 
     replayable: bool = True

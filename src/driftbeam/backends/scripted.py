@@ -7,8 +7,10 @@ A fixture is a JSONL file, one record per sampled step:
 
 ``prefix_hash`` digests (kind, prefix) so replay is position-independent:
 any query with the same kind and prefix pops the next recorded entry for
-that hash, in file order. ``fresh()`` rewinds all cursors, which is what makes replayed
-runs repeatable end to end.
+that hash, in file order. ``parse_fixture`` turns the records into one
+immutable queue per hash, which any number of models can share; each model
+keeps its own cursors, and ``fresh()`` gives the decode that calls it a new,
+rewound cursor map, which is what makes replayed runs repeatable end to end.
 
 RecordingModel wraps a live model and appends every response to a fixture
 list, so fixtures are captured by running the real thing once.
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import defaultdict
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -66,6 +68,28 @@ def load_fixture(path: Union[str, Path]) -> list[dict]:
     return records
 
 
+def parse_fixture(records: Iterable[dict]) -> Mapping[str, tuple[StepSample, ...]]:
+    """Fixture records as one read-only queue of samples per prefix hash,
+    in record order. A malformed record is a ProtocolError naming its index."""
+    queues: dict[str, list[StepSample]] = {}
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ProtocolError(f"fixture record {index}: not a JSON object")
+        try:
+            prefix_hash, text = record["prefix_hash"], record["text"]
+            logprobs, finish_reason = record["logprobs"], record["finish_reason"]
+        except KeyError as exc:
+            raise ProtocolError(f"fixture record {index}: missing field {exc}") from None
+        for field, value in (("prefix_hash", prefix_hash), ("text", text)):
+            if not isinstance(value, str):
+                raise ProtocolError(
+                    f"fixture record {index}: {field} must be a string, got {value!r:.80}"
+                )
+        sample = StepSample(text, logprobs_from(logprobs, "logprobs"), finish_reason)
+        queues.setdefault(prefix_hash, []).append(sample)
+    return MappingProxyType({key: tuple(queue) for key, queue in queues.items()})
+
+
 def save_fixture(path: Union[str, Path], records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
@@ -73,45 +97,41 @@ def save_fixture(path: Union[str, Path], records: Iterable[dict]) -> None:
 
 
 class ScriptedModel(SequenceModel):
-    """Replays recorded samples; raises ProtocolError on any unscripted query."""
+    """Replays recorded samples; raises ProtocolError on any unscripted query.
+
+    `records` is a fixture path, a list of fixture records, or the queues
+    `parse_fixture` made of them; queues are shared, not copied. A model
+    serves one decode at a time.
+    """
 
     replayable = True
 
-    def __init__(self, records: Union[str, Path, list[dict]]):
+    def __init__(
+        self,
+        records: Union[str, Path, list[dict], Mapping[str, tuple[StepSample, ...]]],
+    ):
         if isinstance(records, (str, Path)):
             records = load_fixture(records)
-        self._queues: dict[str, list[StepSample]] = defaultdict(list)
-        for index, record in enumerate(records):
-            if not isinstance(record, dict):
-                raise ProtocolError(f"fixture record {index}: not a JSON object")
-            try:
-                sample = StepSample(
-                    record["text"],
-                    logprobs_from(record["logprobs"], "logprobs"),
-                    record["finish_reason"],
-                )
-                self._queues[record["prefix_hash"]].append(sample)
-            except KeyError as exc:
-                raise ProtocolError(f"fixture record {index}: missing field {exc}") from None
-        self._cursors: dict[str, int] = defaultdict(int)
-        self._lock = threading.Lock()
+        if not isinstance(records, Mapping):
+            records = parse_fixture(records)
+        self._queues = records
+        self._cursors: dict[str, int] = {}
 
     def fresh(self) -> "ScriptedModel":
-        self._cursors = defaultdict(int)
+        self._cursors = {}
         return self
 
     def _next(self, kind: str, prefix: str) -> StepSample:
         key = fixture_key(kind, prefix)
-        with self._lock:
-            queue = self._queues.get(key)
-            position = self._cursors[key]
-            if queue is None or position >= len(queue):
-                raise ProtocolError(
-                    f"no scripted {kind} sample for prefix of {len(prefix)} chars "
-                    f"(key {key[:12]}..., consumed {position})"
-                )
-            self._cursors[key] = position + 1
-            return queue[position]
+        queue = self._queues.get(key, ())
+        position = self._cursors.get(key, 0)
+        if position >= len(queue):
+            raise ProtocolError(
+                f"no scripted {kind} sample for prefix of {len(prefix)} chars "
+                f"(key {key[:12]}..., consumed {position})"
+            )
+        self._cursors[key] = position + 1
+        return queue[position]
 
     def propose_step(
         self,

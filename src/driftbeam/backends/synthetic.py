@@ -139,7 +139,7 @@ class SyntheticModel(SequenceModel):
             trailing_newline = False
         logprobs = rng.normal(level, self.task.noise_std, size=len(words))
         text = " ".join(words) + ("\n" if trailing_newline else "")
-        return StepSample(text, tuple(float(x) for x in logprobs), finish)
+        return StepSample(text, tuple(logprobs.tolist()), finish)
 
     # -- SequenceModel interface -------------------------------------------
 

@@ -19,7 +19,13 @@ be audited or re-plotted without rerunning the model.
 
 Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
-a pure function of the config and the backend's replies.
+a pure function of the config and the backend's replies. A step's propose
+and rollout keys are all known before its first backend call, so
+`expand_beam` derives their PCG64 states in one batch (`substream_states`)
+and sets one bit generator, local to the call, to each state in turn; each
+backend call draws exactly what `substream(seed, *key)` would give it. The
+step's select stream and each survivor's completion stream come from
+`substream` itself.
 """
 
 from __future__ import annotations
@@ -72,6 +78,106 @@ STOP_EXHAUSTED = "exhausted"
 def substream(seed: int, *fields: int) -> np.random.Generator:
     """Independent generator for one named position in the run."""
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, *fields]))
+
+
+# numpy's SeedSequence constants (pool of 4 uint32 words) and PCG64's 128-bit
+# multiplier. `substream_states` reproduces what SeedSequence and PCG64 do
+# with them, so its states equal the ones `substream` would build.
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constant of each of the first `count` hashes.
+
+    SeedSequence's hash k xors its input with h_k, multiplies by h_{k+1} and
+    folds the high half into the low one, where h_0 = init and
+    h_{k+1} = h_k * mult mod 2**32. The sequence does not depend on the data.
+    """
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    xors = np.array(chain[:-1], dtype=np.uint32)[:, None]
+    mults = np.array(chain[1:], dtype=np.uint32)[:, None]
+    return xors, mults
+
+
+# Entropy hashing (enough for keys of up to 16 words) and state output.
+_ENTROPY_XOR, _ENTROPY_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 64)
+_OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+_OUTPUT_WORDS = np.arange(8) % _POOL_SIZE
+
+
+def _hashed(values: np.ndarray, index: int, count: int) -> np.ndarray:
+    """Entropy hashes index .. index+count-1, applied to `values`, which
+    broadcasts against a leading axis of length `count`."""
+    out = (values ^ _ENTROPY_XOR[index:index + count]) * _ENTROPY_MULT[index:index + count]
+    return out ^ (out >> _XSHIFT)
+
+
+def _mixed(into: np.ndarray, value: np.ndarray) -> np.ndarray:
+    out = into * _MIX_MULT_L - value * _MIX_MULT_R
+    return out ^ (out >> _XSHIFT)
+
+
+def substream_states(seed: int, keys: Sequence[Sequence[int]]) -> list[dict]:
+    """The PCG64 state of `substream(seed, *key)` for every key, derived for
+    all keys at once.
+
+    SeedSequence's entropy mixing runs over uint32 numpy lanes, one lane per
+    key; the resulting words seed PCG64 in Python ints. Each dict can be
+    assigned to `PCG64.state`; it clears the buffered 32-bit half, so a
+    reused bit generator draws exactly what a fresh substream would. All
+    keys must have the same length, and each field must fit in 32 bits.
+    """
+    fields = np.asarray(keys, dtype=np.uint32).reshape(len(keys), -1).T
+    seed_words = []
+    while True:
+        seed_words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    length = len(seed_words) + len(fields)
+    entropy = np.zeros((max(length, _POOL_SIZE), len(keys)), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words):length] = fields
+
+    # Fill the pool from the first words, mix every pool word into the
+    # others in order, then mix in the words past the pool.
+    pool = _hashed(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
+    index = _POOL_SIZE
+    for source in range(_POOL_SIZE):
+        others = _OTHER_WORDS[source]
+        pool[others] = _mixed(pool[others], _hashed(pool[source], index, _POOL_SIZE - 1))
+        index += _POOL_SIZE - 1
+    extra = length - _POOL_SIZE
+    if extra > 0:
+        # Word j past the pool takes one hash per pool word it mixes into.
+        repeated = np.repeat(entropy[_POOL_SIZE:length], _POOL_SIZE, axis=0)
+        hashed = _hashed(repeated, index, extra * _POOL_SIZE).reshape(
+            extra, _POOL_SIZE, len(keys))
+        for word in hashed:
+            pool = _mixed(pool, word)
+
+    # generate_state(4, uint64): 8 words cycled from the pool, then paired
+    # little-endian into 4 uint64s.
+    words = (pool[_OUTPUT_WORDS] ^ _OUTPUT_XOR) * _OUTPUT_MULT
+    words ^= words >> _XSHIFT
+    states = []
+    for high, low, inc_high, inc_low in words.T.copy().view(np.uint64).tolist():
+        # pcg64_set_seed: inc = 2 * initseq + 1; state = 0, step, add the
+        # initial state, step.
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        state = (((high << 64 | low) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 SELECTIONS = ("softmax", "uniform")
@@ -316,25 +422,38 @@ def expand_beam(
     if not live:
         raise DecodeStalledError("expand_beam called with no live paths")
 
+    # Every stream of the step, in the order the calls below use them: each
+    # candidate's proposal, then its rollouts. One bit generator is set to
+    # each stream's state in turn; the backend draws before it returns.
+    samples = range(config.rollout_samples)
+    keys = []
+    for path in live:
+        for cand_index in range(config.rollouts_per_candidate):
+            keys.append((TAG_PROPOSE, step, path.path_id, cand_index, 0))
+            keys.extend((TAG_ROLLOUT, step, path.path_id, cand_index, s) for s in samples)
+    states = iter(substream_states(config.seed, keys))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+
+    def next_stream() -> np.random.Generator:
+        bit_generator.state = next(states)
+        return rng
+
     results = []
     for path in live:
         for cand_index in range(config.rollouts_per_candidate):
             try:
                 step_sample = model.propose_step(
                     path.prefix,
-                    substream(config.seed, TAG_PROPOSE, step, path.path_id, cand_index, 0),
+                    next_stream(),
                     max_tokens=config.max_step_tokens,
                     stop=config.step_delimiter,
                     sample_index=cand_index,
                 )
                 lookahead_prefix = path.prefix + step_sample.text
                 rollouts = [
-                    model.rollout(
-                        lookahead_prefix,
-                        config.rollout_depth,
-                        substream(config.seed, TAG_ROLLOUT, step, path.path_id, cand_index, s),
-                    )
-                    for s in range(config.rollout_samples)
+                    model.rollout(lookahead_prefix, config.rollout_depth, next_stream())
+                    for _ in samples
                 ]
             except TransportError as exc:
                 raise TransportError(

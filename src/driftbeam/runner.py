@@ -28,9 +28,9 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 import yaml
 
-from .backends.base import SequenceModel
+from .backends.base import SequenceModel, StepSample
 from .backends.http import HttpCompletionsModel
-from .backends.scripted import ScriptedModel, load_fixture
+from .backends.scripted import ScriptedModel, load_fixture, parse_fixture
 from .backends.synthetic import SyntheticModel, SyntheticTask
 from .baselines import PhiConfig, ar_cot_decode, phi_decode
 from .dataset import (
@@ -76,6 +76,10 @@ ENV_BASE_URL = "DRIFTBEAM_BASE_URL"
 ENV_MODEL = "DRIFTBEAM_MODEL"
 ENV_API_KEY = "DRIFTBEAM_API_KEY"
 
+# The value types a number field accepts, by its annotation. A float field
+# takes an int too: YAML reads `timeout: 60` as one.
+_NUMBER_KINDS = {"int": (int,), "float": (int, float)}
+
 
 @dataclass(frozen=True, slots=True)
 class BackendSpec:
@@ -103,6 +107,22 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise PreconditionError(f"backend kind must be in {BACKEND_KINDS}, got {self.kind!r}")
+        # Each number field by its annotation: YAML's 'x', a bool or a list
+        # is an error here, not a TypeError deep inside a decode.
+        for spec_field in fields(self):
+            kinds = _NUMBER_KINDS.get(spec_field.type)
+            value = getattr(self, spec_field.name)
+            if kinds is not None and type(value) not in kinds:
+                raise PreconditionError(
+                    f"backend {spec_field.name} must be {spec_field.type}, got {value!r}"
+                )
+        if self.drifts is not None:
+            if not (isinstance(self.drifts, (list, tuple))
+                    and all(type(d) in (int, float) for d in self.drifts)):
+                raise PreconditionError(
+                    f"backend drifts must be a list of numbers, got {self.drifts!r}"
+                )
+            object.__setattr__(self, "drifts", tuple(float(d) for d in self.drifts))
         if self.model_params <= 0:
             raise PreconditionError("model_params must be > 0")
         if self.kind == "scripted" and not self.fixture:
@@ -112,7 +132,7 @@ class BackendSpec:
 
     def base_task(self) -> SyntheticTask:
         if self.drifts is not None:
-            drifts = tuple(float(d) for d in self.drifts)
+            drifts = self.drifts
         elif self.arm_count == 1:
             drifts = (self.drift,)
         else:
@@ -132,7 +152,7 @@ class BackendSpec:
         if self.kind == "synthetic":
             return SyntheticModel(task or self.base_task())
         if self.kind == "scripted":
-            return ScriptedModel(list(_cached_fixture(str(self.fixture))))
+            return ScriptedModel(_cached_fixture(str(self.fixture)))
         return HttpCompletionsModel(
             self.base_url,
             self.model,
@@ -145,8 +165,10 @@ class BackendSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_fixture(path: str) -> tuple:
-    return tuple(load_fixture(path))
+def _cached_fixture(path: str) -> Mapping[str, tuple[StepSample, ...]]:
+    """A fixture's parsed, read-only sample queues, shared by every task of a
+    run; the raw records are not kept."""
+    return parse_fixture(load_fixture(path))
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,8 +246,6 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     if "auth_token" in backend_raw:
         raise PreconditionError("auth_token must come from the environment, not the config file")
     _check_keys(backend_raw, BackendSpec, "backend")
-    if backend_raw.get("drifts") is not None:
-        backend_raw["drifts"] = tuple(float(d) for d in backend_raw["drifts"])
     if backend_raw.get("kind") == "http":
         if os.environ.get(ENV_BASE_URL):
             backend_raw["base_url"] = os.environ[ENV_BASE_URL]

@@ -18,6 +18,7 @@ from driftbeam.backends.scripted import (
     ScriptedModel,
     fixture_key,
     load_fixture,
+    parse_fixture,
     save_fixture,
 )
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
@@ -40,6 +41,19 @@ class TestStepSample:
     def test_non_finite_logprob(self):
         with pytest.raises(NumericInputError):
             StepSample("x", (float("nan"),), FINISH_LENGTH)
+
+    def test_finite_tokens_whose_sum_overflows_are_accepted(self):
+        sample = StepSample("a b", (1e308, 1e308), FINISH_LENGTH)
+        assert sample.token_logprobs == (1e308, 1e308)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_token_named_by_index(self, bad, position):
+        logprobs = [1e308, -0.5, -1e308]
+        logprobs[position] = bad
+        message = rf"token_logprobs\[{position}\] must be finite"
+        with pytest.raises(NumericInputError, match=message):
+            StepSample("a b c", tuple(logprobs), FINISH_LENGTH)
 
     def test_empty_sample_has_no_quality(self):
         empty = StepSample("", (), FINISH_EOS)
@@ -256,6 +270,31 @@ class TestScripted:
         for source in (records, path):
             with pytest.raises(ProtocolError, match="logprobs must be a list of numbers"):
                 ScriptedModel(source)
+
+    @pytest.mark.parametrize("field", ["prefix_hash", "text"])
+    @pytest.mark.parametrize("value", [[1], 5, None, {"a": 1}])
+    def test_non_string_hash_or_text_is_protocol_error(self, tmp_path, field, value):
+        records = self._records()
+        records[1][field] = value
+        path = tmp_path / "fx.jsonl"
+        save_fixture(path, records)
+        for source in (records, path):
+            with pytest.raises(ProtocolError,
+                               match=f"fixture record 1: {field} must be a string"):
+                ScriptedModel(source)
+
+    def test_parsed_queues_are_shared_with_cursors_of_their_own(self):
+        queues = parse_fixture(self._records())
+        assert queues[fixture_key("propose", "Q\n")] == (
+            StepSample("step one\n", (-0.1, -0.2, -0.3), FINISH_DELIMITER),
+            StepSample("step two\n", (-0.4, -0.5, -0.6), FINISH_DELIMITER),
+        )
+        with pytest.raises(TypeError):
+            queues["other"] = ()
+        first, second = ScriptedModel(queues), ScriptedModel(queues)
+        assert first.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step one\n"
+        assert second.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step one\n"
+        assert first.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step two\n"
 
 
 class TestRecording:

@@ -212,6 +212,17 @@ class TestDecode:
         assert json.loads(err) == {"error": "PreconditionError",
                                    "message": f"{section} section must be a mapping"}
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("drifts", "3", "backend drifts must be a list of numbers, got 3"),
+        ("arm_count", "x", "backend arm_count must be int, got 'x'"),
+    ])
+    def test_bad_backend_number_is_error_record(self, capfd, tmp_path, key, value, message):
+        config_path = tmp_path / "backend.yaml"
+        config_path.write_text(f"backend:\n  {key}: {value}\n")
+        code, out, err = run_cli(capfd, "decode", "--config", str(config_path), "--prompt", "x")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "PreconditionError", "message": message}
+
     def test_config_phi_section_dropped_for_mfs(self, capfd, tmp_path):
         config_path = tmp_path / "run.yaml"
         config_path.write_text(

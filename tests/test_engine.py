@@ -14,12 +14,15 @@ from driftbeam import (
     PreconditionError,
     decode,
 )
+from driftbeam.backends.base import SequenceModel, StepSample
 from driftbeam.backends.scripted import ScriptedModel, fixture_key
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
 from driftbeam.engine import (
     STOP_CONVERGED,
     STOP_EXHAUSTED,
     STOP_MAX_STEPS,
+    TAG_PROPOSE,
+    TAG_ROLLOUT,
     BeamPath,
     BeamState,
     Candidate,
@@ -33,6 +36,7 @@ from driftbeam.engine import (
     select_beam,
     softmax_weights,
     substream,
+    substream_states,
 )
 from driftbeam.metrics import canonical_json
 
@@ -151,7 +155,90 @@ class TestSampleWithoutReplacement:
             assert picks == [1]
 
 
+def reference_state(seed, key):
+    return np.random.PCG64(np.random.SeedSequence(entropy=[seed, *key])).state
+
+
+seeds = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+fields = st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 2**32 - 1))
+
+
+class TestSubstreamStates:
+    @given(
+        seed=seeds,
+        keys=st.integers(1, 6).flatmap(
+            lambda width: st.lists(st.lists(fields, min_size=width, max_size=width),
+                                   min_size=1, max_size=128)
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_seed_sequence(self, seed, keys):
+        assert substream_states(seed, keys) == [reference_state(seed, k) for k in keys]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_one_and_two_word_seeds_with_zero_fields(self, seed, width):
+        keys = [[0] * width, [2**32 - 1] * width, list(range(width))]
+        assert substream_states(seed, keys) == [reference_state(seed, k) for k in keys]
+
+    def test_reused_generator_draws_like_a_fresh_substream(self):
+        seed = 2**63 + 5
+        keys = [(TAG_PROPOSE, 1, 0, c, 0) for c in range(3)]
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for key, state in zip(keys, substream_states(seed, keys)):
+            bit_generator.state = state
+            got = (rng.integers(7, size=3).tolist(), rng.normal(size=3).tolist(),
+                   rng.integers(7, size=2).tolist())
+            fresh = substream(seed, *key)
+            want = (fresh.integers(7, size=3).tolist(), fresh.normal(size=3).tolist(),
+                    fresh.integers(7, size=2).tolist())
+            assert got == want
+            # Small integers() draws leave a buffered 32-bit half behind,
+            # which the next assigned state must clear.
+            assert bit_generator.state["has_uint32"] == 1
+
+
+class DrawRecorder(SequenceModel):
+    """Records one draw from each call's stream; every step is one token."""
+
+    def __init__(self):
+        self.draws = []
+
+    def _sample(self, kind, prefix, rng):
+        self.draws.append((kind, prefix, rng.random()))
+        return StepSample("x\n", (-0.5,), "delimiter")
+
+    def propose_step(self, prefix, rng, *, max_tokens, stop=None, sample_index=0):
+        return self._sample("propose", prefix, rng)
+
+    def rollout(self, prefix, depth, rng):
+        return self._sample("rollout", prefix, rng)
+
+    def complete(self, prefix, max_tokens, rng):
+        return self._sample("complete", prefix, rng)
+
+
 class TestExpand:
+    def test_each_call_draws_from_its_own_substream(self):
+        cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=3, rollout_samples=2, seed=2**40 + 9)
+        beam = mk_beam([0.1, 0.2], step_index=4)
+        model = DrawRecorder()
+        expand_beam(model, beam, cfg)
+        want = []
+        for path in beam.paths:
+            for cand in range(3):
+                want.append(("propose", path.prefix,
+                             substream(cfg.seed, TAG_PROPOSE, 5, path.path_id, cand, 0).random()))
+                for sample in range(2):
+                    stream = substream(cfg.seed, TAG_ROLLOUT, 5, path.path_id, cand, sample)
+                    want.append(("rollout", path.prefix + "x\n", stream.random()))
+        assert model.draws == want
+
     def test_budget_and_baseline(self, two_arm_model):
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=4, rollout_depth=4, seed=3)
         beam = BeamState.initial("Pick an arm.\n")

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from driftbeam import DecodeConfig, PhiConfig, PreconditionError, TaskInstance
+from driftbeam.backends.base import FINISH_EOS, StepSample
 from driftbeam.backends.scripted import fixture_key, save_fixture
 from driftbeam.metrics import canonical_json, parse_report
 from driftbeam.runner import (
@@ -15,6 +16,7 @@ from driftbeam.runner import (
     PRESETS,
     BackendSpec,
     RunConfig,
+    _cached_fixture,
     config_to_yaml,
     decode_with,
     derive_instance_seed,
@@ -141,6 +143,31 @@ class TestParseConfig:
     def test_top_level_values_not_coerced(self, key, value):
         with pytest.raises(PreconditionError, match=key):
             parse_config({key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model_params", 8e9),
+            ("arm_count", "x"),
+            ("drift", "0.1"),
+            ("drifts", 3),
+            ("drifts", [0.1, "x"]),
+            ("drifts", [True, 0.1]),
+            ("noise_std", True),
+            ("horizon", 2.5),
+            ("model_temperature", [0.7]),
+            ("timeout", None),
+        ],
+    )
+    def test_backend_numbers_checked_by_key(self, key, value):
+        with pytest.raises(PreconditionError, match=f"backend {key} must be"):
+            parse_config({"backend": {key: value}})
+
+    def test_backend_float_fields_take_ints(self):
+        backend = parse_config({"backend": {"drifts": [1, -1], "timeout": 5}}).backend
+        assert backend.drifts == (1.0, -1.0)
+        assert all(type(d) is float for d in backend.drifts)
+        assert backend.timeout == 5
 
 
 class TestPresets:
@@ -372,7 +399,7 @@ class TestExecuteRun:
         assert "token_logprobs" in output.failures[0][1]
 
     def test_null_logprob_fails_each_task_not_the_run(self, tmp_path):
-        # The scripted model is built per task from the whole fixture, so one
+        # Each task's scripted model needs the whole fixture parsed, so one
         # null logprob fails every task, each under a named ProtocolError.
         dataset_path = tmp_path / "tasks.jsonl"
         dataset_path.write_text(
@@ -418,6 +445,58 @@ class TestExecuteRun:
         assert [tid for tid, _ in output.failures] == ["t1", "t2"]
         for _, message in output.failures:
             assert message == f"ProtocolError: {fixture_path}:1: not a JSON object"
+
+    @pytest.mark.parametrize("field, value", [("prefix_hash", [1]), ("text", 5)])
+    def test_non_string_fixture_field_fails_each_task_not_the_run(self, tmp_path,
+                                                                  field, value):
+        dataset_path = tmp_path / "tasks.jsonl"
+        dataset_path.write_text(
+            '{"id": "t1", "prompt": "P1\\n", "answer": "4"}\n'
+            '{"id": "t2", "prompt": "P2\\n", "answer": "4"}\n'
+        )
+        records = [
+            {
+                "prefix_hash": fixture_key("complete", prompt),
+                "text": "Answer: 4",
+                "logprobs": [-0.1],
+                "finish_reason": "end-of-sequence",
+            }
+            for prompt in ("P1\n", "P2\n")
+        ]
+        records[1][field] = value
+        fixture_path = tmp_path / "fx.jsonl"
+        save_fixture(fixture_path, records)
+        config = parse_config({
+            "method": "ar-cot",
+            "dataset": str(dataset_path),
+            "backend": {"kind": "scripted", "fixture": str(fixture_path)},
+        })
+        output = execute_run(config)
+        assert output.metrics.total == 0
+        assert [tid for tid, _ in output.failures] == ["t1", "t2"]
+        for _, message in output.failures:
+            assert message.startswith(f"ProtocolError: fixture record 1: {field} must be a string")
+
+    def test_fixture_parsed_once_and_shared_by_tasks(self, tmp_path):
+        fixture_path = tmp_path / "fx.jsonl"
+        save_fixture(fixture_path, [
+            {
+                "prefix_hash": fixture_key("complete", "P1\n"),
+                "text": "Answer: 4",
+                "logprobs": [-0.1],
+                "finish_reason": "end-of-sequence",
+            }
+        ])
+        spec = BackendSpec(kind="scripted", fixture=str(fixture_path))
+        queues = _cached_fixture(str(fixture_path))
+        assert queues is _cached_fixture(str(fixture_path))
+        assert queues == {fixture_key("complete", "P1\n"): (
+            StepSample("Answer: 4", (-0.1,), FINISH_EOS),
+        )}
+        first, second = spec.make_model(), spec.make_model()
+        assert first is not second
+        for model in (first, second):
+            assert model.complete("P1\n", 8, None).text == "Answer: 4"
 
     def test_synthetic_dataset_needs_synthetic_backend(self, tmp_path):
         fixture_path = tmp_path / "fx.jsonl"
