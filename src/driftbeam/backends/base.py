@@ -107,5 +107,13 @@ class SequenceModel(ABC):
         """Finish `prefix` autoregressively, up to `max_tokens` tokens."""
 
     def fresh(self) -> "SequenceModel":
-        """A reset instance for a new decode; stateless backends return self."""
+        """The instance one decode runs against, called once at its start.
+
+        A backend that keeps state across calls starts that state afresh
+        here. The scripted backend rewinds its cursors in place (one
+        scripted model serves one decode at a time). The synthetic backend
+        returns a new model over the same task with an empty parse memo, so
+        decodes on different threads never share a memo. A backend with no
+        per-decode state (HTTP) returns self.
+        """
         return self

@@ -8,7 +8,8 @@ game), the others fall behind — exactly the regime the decoder is supposed
 to detect, so the correct answer is known by construction.
 
 Generated text follows a tiny grammar the model itself parses back out of
-the prefix (the model is stateless and pure given the rng substream):
+the prefix (every reply is a pure function of the prefix and the rng
+substream):
 
     consider arm A\n      first step, commits the path to an arm
     deliberate 2\n        one reasoning step per line, numbered
@@ -94,30 +95,47 @@ class SyntheticTask:
 
 
 class SyntheticModel(SequenceModel):
-    """Pure generator over a SyntheticTask."""
+    """Pure generator over a SyntheticTask.
+
+    A decode asks about the same few prefixes over and over (every rollout
+    of a candidate, every candidate of a path), so the model memoizes each
+    prefix's parse. The memo lives for one decode: `fresh()` returns a new
+    model over the same task with an empty memo, so no two decodes, and no
+    two instance threads, share one. Replies do not depend on the memo.
+    """
 
     replayable = True
 
     def __init__(self, task: SyntheticTask):
         self.task = task
+        self._labels = task.labels
+        self._parsed: dict[str, tuple[Optional[int], int, bool]] = {}
+
+    def fresh(self) -> "SyntheticModel":
+        return SyntheticModel(self.task)
 
     # -- prefix parsing ----------------------------------------------------
 
     def _parse(self, prefix: str) -> tuple[Optional[int], int, bool]:
-        """(arm index or None, reasoning steps done, answered?)."""
+        """(arm index or None, reasoning steps done, answered?), memoized
+        per prefix. A prefix naming an unknown arm raises and is not stored."""
+        parsed = self._parsed.get(prefix)
+        if parsed is not None:
+            return parsed
         arm_match = _ARM_RE.search(prefix)
         arm = None
         steps = 0
         if arm_match:
             label = arm_match.group(1)
-            if label not in self.task.labels:
+            if label not in self._labels:
                 raise PreconditionError(f"prefix names unknown arm {label!r}")
-            arm = self.task.labels.index(label)
+            arm = self._labels.index(label)
             steps = 1
             numbers = [int(m) for m in _STEP_RE.findall(prefix)]
             if numbers:
                 steps = max(numbers)
-        return arm, steps, bool(_ANSWER_RE.search(prefix))
+        parsed = self._parsed[prefix] = (arm, steps, bool(_ANSWER_RE.search(prefix)))
+        return parsed
 
     def _level(self, arm: int, steps: int) -> float:
         return min(steps, self.task.horizon) * self.task.drifts[arm]
@@ -159,11 +177,11 @@ class SyntheticModel(SequenceModel):
             # Root proposals stratify over arms so one expand exposes all of
             # them; randomness enters only through the rollout logprobs.
             arm = sample_index % self.task.arm_count
-            words = ["consider", "arm", self.task.labels[arm]]
+            words = ["consider", "arm", self._labels[arm]]
             return self._emit(words, self._level(arm, 1), rng, FINISH_DELIMITER,
                               max_tokens, trailing_newline=True)
         if steps >= self.task.horizon:
-            words = ["Answer:", self.task.labels[arm]]
+            words = ["Answer:", self._labels[arm]]
             return self._emit(words, self._level(arm, steps), rng, FINISH_EOS, max_tokens)
         words = ["deliberate", str(steps + 1)]
         return self._emit(words, self._level(arm, steps + 1), rng, FINISH_DELIMITER,
@@ -176,7 +194,7 @@ class SyntheticModel(SequenceModel):
         if arm is None:
             arm = int(rng.integers(self.task.arm_count))
             steps = 1
-        label = self.task.labels[arm]
+        label = self._labels[arm]
         # The lookahead carries the arm's answer so answer-clustering methods
         # can read it; with depth < 3 there is no room for the answer tokens.
         if depth >= 3:
@@ -194,5 +212,5 @@ class SyntheticModel(SequenceModel):
             # the single-sample hit rate is exactly 1/arm_count.
             arm = int(rng.integers(self.task.arm_count))
             steps = 1
-        words = ["Answer:", self.task.labels[arm]]
+        words = ["Answer:", self._labels[arm]]
         return self._emit(words, self._level(arm, max(steps, 1)), rng, FINISH_EOS, max_tokens)

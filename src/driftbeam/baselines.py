@@ -30,6 +30,7 @@ from .engine import (
     Candidate,
     DecodeConfig,
     DecodeResult,
+    check_field_types,
     extract_answer,
     finalize,
     run_loop,
@@ -55,6 +56,7 @@ class PhiConfig:
     cluster_distance: float = 0.05
 
     def __post_init__(self) -> None:
+        check_field_types(self, "phi")
         if not (self.delta >= 0 and math.isfinite(self.delta)):
             raise PreconditionError(f"delta must be finite >= 0, got {self.delta}")
         if self.combine_mode not in COMBINE_MODES:

@@ -30,10 +30,11 @@ step's select stream and each survivor's completion stream come from
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -180,6 +181,29 @@ def substream_states(seed: int, keys: Sequence[Sequence[int]]) -> list[dict]:
     return states
 
 
+# The value types a config field accepts, by its annotation. A float field
+# takes an int too (YAML reads `timeout: 60` as one); a bool is never a
+# number, and no string is read as a bool.
+_FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+@functools.cache
+def _typed_fields(cls: type) -> tuple[tuple[str, str, tuple[type, ...]], ...]:
+    return tuple((f.name, f.type, _FIELD_KINDS[f.type])
+                 for f in fields(cls) if f.type in _FIELD_KINDS)
+
+
+def check_field_types(config, section: str) -> None:
+    """Check each int, float, bool and str field of a config dataclass by
+    its annotation, so YAML's `x`, `2.5` or `"no"` in the wrong place is a
+    PreconditionError naming `section` and the key, not a TypeError deep
+    inside a decode or a string read as true."""
+    for name, annotation, kinds in _typed_fields(type(config)):
+        value = getattr(config, name)
+        if type(value) not in kinds:
+            raise PreconditionError(f"{section} {name} must be {annotation}, got {value!r}")
+
+
 SELECTIONS = ("softmax", "uniform")
 EPSILON_DISABLED = ("none", "null", "off", "-inf")
 
@@ -228,6 +252,7 @@ class DecodeConfig:
     prune_enabled: bool = True
 
     def __post_init__(self) -> None:
+        check_field_types(self, "decode")
         if self.beam_size < 1:
             raise PreconditionError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.rollouts_per_candidate < 1:
@@ -253,7 +278,12 @@ class DecodeConfig:
             raise PreconditionError("seed must fit in 64 unsigned bits")
         if not self.step_delimiter:
             raise PreconditionError("step_delimiter must be non-empty")
-        re.compile(self.answer_pattern)
+        try:
+            re.compile(self.answer_pattern)
+        except re.error as exc:
+            raise PreconditionError(
+                f"answer_pattern must be a regular expression, got {self.answer_pattern!r}: {exc}"
+            ) from None
         if not (1 <= self.rollout_samples <= self.rollouts_per_candidate):
             raise PreconditionError(
                 "rollout_samples must be in [1, rollouts_per_candidate], got "
@@ -439,7 +469,10 @@ def expand_beam(
         bit_generator.state = next(states)
         return rng
 
-    results = []
+    # Every backend call of the step comes before any quality is computed,
+    # so a later TransportError wins over an earlier sample that cannot be
+    # scored. `replies` holds each candidate's proposal, then its rollouts.
+    replies = []
     for path in live:
         for cand_index in range(config.rollouts_per_candidate):
             try:
@@ -450,34 +483,38 @@ def expand_beam(
                     stop=config.step_delimiter,
                     sample_index=cand_index,
                 )
+                replies.append(step_sample)
                 lookahead_prefix = path.prefix + step_sample.text
-                rollouts = [
-                    model.rollout(lookahead_prefix, config.rollout_depth, next_stream())
-                    for _ in samples
-                ]
+                for _ in samples:
+                    replies.append(
+                        model.rollout(lookahead_prefix, config.rollout_depth, next_stream())
+                    )
             except TransportError as exc:
                 raise TransportError(
                     f"path {path.path_id} candidate {cand_index}: {exc}"
                 ) from exc
-            results.append((path, cand_index, step_sample, rollouts))
 
+    replies = iter(replies)
     candidates: list[Candidate] = []
-    for path, cand_index, step_sample, rollouts in results:
-        candidates.append(
-            Candidate(
-                parent_path_id=path.path_id,
-                index=cand_index,
-                step_text=step_sample.text,
-                step_tokens=len(step_sample.token_logprobs),
-                finish_reason=step_sample.finish_reason,
-                rollout_texts=tuple(r.text for r in rollouts),
-                rollout_qualities=tuple(quality_of(r) for r in rollouts),
-            )
-        )
-        beam.tokens_generated += len(step_sample.token_logprobs)
-        for rollout_sample in rollouts:
-            beam.tokens_generated += len(rollout_sample.token_logprobs)
-            beam.rollout_tokens += len(rollout_sample.token_logprobs)
+    step_tokens = rollout_tokens = 0
+    for path in live:
+        for cand_index in range(config.rollouts_per_candidate):
+            step_sample = next(replies)
+            texts = []
+            qualities = []
+            for _ in samples:
+                rollout_sample = next(replies)
+                texts.append(rollout_sample.text)
+                qualities.append(quality_of(rollout_sample))
+                rollout_tokens += len(rollout_sample.token_logprobs)
+            tokens = len(step_sample.token_logprobs)
+            step_tokens += tokens
+            candidates.append(Candidate(
+                path.path_id, cand_index, step_sample.text, tokens,
+                step_sample.finish_reason, tuple(texts), tuple(qualities),
+            ))
+    beam.tokens_generated += step_tokens + rollout_tokens
+    beam.rollout_tokens += rollout_tokens
 
     if not candidates:
         raise DecodeStalledError("expand produced zero candidates")

@@ -41,7 +41,14 @@ from .dataset import (
     synthetic_size,
     synthetic_suite,
 )
-from .engine import TAG_INSTANCE, DecodeConfig, DecodeResult, decode, parse_epsilon
+from .engine import (
+    TAG_INSTANCE,
+    DecodeConfig,
+    DecodeResult,
+    check_field_types,
+    decode,
+    parse_epsilon,
+)
 from .errors import DriftbeamError, PreconditionError
 from .metrics import PerExample, RunMetrics, canonical_json, emit_report
 
@@ -76,11 +83,6 @@ ENV_BASE_URL = "DRIFTBEAM_BASE_URL"
 ENV_MODEL = "DRIFTBEAM_MODEL"
 ENV_API_KEY = "DRIFTBEAM_API_KEY"
 
-# The value types a number field accepts, by its annotation. A float field
-# takes an int too: YAML reads `timeout: 60` as one.
-_NUMBER_KINDS = {"int": (int,), "float": (int, float)}
-
-
 @dataclass(frozen=True, slots=True)
 class BackendSpec:
     """Which model serves the run, plus its FLOPs-relevant size."""
@@ -107,15 +109,7 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise PreconditionError(f"backend kind must be in {BACKEND_KINDS}, got {self.kind!r}")
-        # Each number field by its annotation: YAML's 'x', a bool or a list
-        # is an error here, not a TypeError deep inside a decode.
-        for spec_field in fields(self):
-            kinds = _NUMBER_KINDS.get(spec_field.type)
-            value = getattr(self, spec_field.name)
-            if kinds is not None and type(value) not in kinds:
-                raise PreconditionError(
-                    f"backend {spec_field.name} must be {spec_field.type}, got {value!r}"
-                )
+        check_field_types(self, "backend")
         if self.drifts is not None:
             if not (isinstance(self.drifts, (list, tuple))
                     and all(type(d) in (int, float) for d in self.drifts)):
@@ -188,12 +182,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise PreconditionError(f"method must be one of {METHODS}, got {self.method!r}")
-        # Exact types: YAML's 2.7, 'false' or a bool are errors, not coerced.
-        for name, kind in (("seed", int), ("workers", int),
-                           ("count_rollout_tokens", bool), ("dataset", str)):
-            value = getattr(self, name)
-            if type(value) is not kind:
-                raise PreconditionError(f"{name} must be {kind.__name__}, got {value!r}")
+        check_field_types(self, "config")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
         if self.method == "phi" and self.phi is None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftbeam import NumericInputError, PreconditionError, ProtocolError
 from driftbeam.backends.base import (
@@ -166,6 +168,67 @@ class TestSyntheticModel:
     def test_unknown_arm_label_rejected(self, two_arm_model):
         with pytest.raises(PreconditionError):
             two_arm_model.propose_step("consider arm Q\n", rng_for(10), max_tokens=8)
+
+
+def grammar_prefix(arm, steps, answered):
+    """A prompt, then (with an arm) the grammar's lines up to `steps`."""
+    if arm is None:
+        return "Pick.\n"
+    lines = [f"consider arm {arm}\n"] + [f"deliberate {k}\n" for k in range(2, steps + 1)]
+    return "Pick.\n" + "".join(lines) + (f"Answer: {arm}" if answered else "")
+
+
+GRAMMAR_PREFIXES = st.builds(
+    grammar_prefix, st.one_of(st.none(), st.sampled_from("ABC")),
+    st.integers(1, 6), st.booleans(),
+)
+CALL_KINDS = ("propose", "rollout", "complete")
+THREE_ARMS = SyntheticTask(arm_count=3, drifts=(0.1, -0.05, 0.02), noise_std=0.2, horizon=4)
+
+
+def reply(model, kind, prefix, stream):
+    rng = rng_for(13, stream)
+    if kind == "propose":
+        return model.propose_step(prefix, rng, max_tokens=8, sample_index=stream)
+    if kind == "rollout":
+        return model.rollout(prefix, 4, rng)
+    return model.complete(prefix, 8, rng)
+
+
+class TestSyntheticParseMemo:
+    """The model memoizes each prefix's parse for the decode it serves;
+    replies never depend on what it has parsed before."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_replies_equal_a_fresh_model(self, data):
+        pool = data.draw(st.lists(GRAMMAR_PREFIXES, min_size=1, max_size=5))
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from(CALL_KINDS), st.integers(0, 3)),
+            min_size=1, max_size=40,
+        ))
+        model = SyntheticModel(THREE_ARMS)
+        for prefix, kind, stream in calls:
+            assert reply(model, kind, prefix, stream) == \
+                reply(SyntheticModel(THREE_ARMS), kind, prefix, stream)
+
+    def test_unknown_arm_raises_on_every_call(self):
+        model = SyntheticModel(THREE_ARMS)
+        bad = "Pick.\nconsider arm Q\n"
+        for kind in CALL_KINDS * 2:
+            with pytest.raises(PreconditionError, match="unknown arm 'Q'"):
+                reply(model, kind, bad, 0)
+        assert reply(model, "rollout", "Pick.\nconsider arm C\n", 0).text.endswith("Answer: C")
+
+    def test_fresh_is_a_distinct_model_with_the_same_replies(self):
+        model = SyntheticModel(THREE_ARMS)
+        prefix = "Pick.\nconsider arm B\ndeliberate 2\n"
+        before = [reply(model, kind, prefix, 1) for kind in CALL_KINDS]
+        other = model.fresh()
+        assert other is not model and other.task == model.task
+        assert [reply(other, kind, prefix, 1) for kind in CALL_KINDS] == before
+        assert [reply(other.fresh(), kind, "Pick.\n", 2) for kind in CALL_KINDS] == \
+            [reply(model, kind, "Pick.\n", 2) for kind in CALL_KINDS]
 
 
 class TestScripted:

@@ -223,6 +223,28 @@ class TestDecode:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "PreconditionError", "message": message}
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("decode", "beam_size", "x", "decode beam_size must be int, got 'x'"),
+        ("decode", "prune_enabled", '"no"', "decode prune_enabled must be bool, got 'no'"),
+        ("phi", "delta", "x", "phi delta must be float, got 'x'"),
+    ])
+    def test_bad_section_value_is_error_record(self, capfd, tmp_path, section, key, value,
+                                               message):
+        config_path = tmp_path / "section.yaml"
+        config_path.write_text(f"method: phi\n{section}:\n  {key}: {value}\n")
+        code, out, err = run_cli(capfd, "decode", "--config", str(config_path), "--prompt", "x")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "PreconditionError", "message": message}
+
+    def test_invalid_answer_pattern_is_error_record(self, capfd, tmp_path):
+        config_path = tmp_path / "pattern.yaml"
+        config_path.write_text('decode:\n  answer_pattern: "("\n')
+        code, out, err = run_cli(capfd, "decode", "--config", str(config_path), "--prompt", "x")
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "PreconditionError"
+        assert record["message"].startswith("answer_pattern must be a regular expression, got '('")
+
     def test_config_phi_section_dropped_for_mfs(self, capfd, tmp_path):
         config_path = tmp_path / "run.yaml"
         config_path.write_text(

@@ -12,6 +12,7 @@ from driftbeam import (
     DecodeConfig,
     DecodeStalledError,
     PreconditionError,
+    TransportError,
     decode,
 )
 from driftbeam.backends.base import SequenceModel, StepSample
@@ -223,7 +224,29 @@ class DrawRecorder(SequenceModel):
         return self._sample("complete", prefix, rng)
 
 
+class EmptyThenDown(DrawRecorder):
+    """The first rollout comes back with no tokens, which cannot be scored;
+    the backend goes down at the second proposal."""
+
+    def propose_step(self, prefix, rng, *, max_tokens, stop=None, sample_index=0):
+        if sample_index == 1:
+            raise TransportError("connection reset")
+        return super().propose_step(prefix, rng, max_tokens=max_tokens)
+
+    def rollout(self, prefix, depth, rng):
+        self.draws.append(("rollout", prefix, rng.random()))
+        return StepSample("", (), "length")
+
+
 class TestExpand:
+    def test_transport_error_wins_over_an_earlier_unscorable_rollout(self):
+        # Every backend call of a step comes before any quality is computed.
+        cfg = DecodeConfig(beam_size=1, rollouts_per_candidate=2, seed=5)
+        model = EmptyThenDown()
+        with pytest.raises(TransportError, match="path 0 candidate 1: connection reset"):
+            expand_beam(model, mk_beam([0.1]), cfg)
+        assert [kind for kind, _, _ in model.draws] == ["propose", "rollout"]
+
     def test_each_call_draws_from_its_own_substream(self):
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=3, rollout_samples=2, seed=2**40 + 9)
         beam = mk_beam([0.1, 0.2], step_index=4)

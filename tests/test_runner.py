@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -32,6 +33,29 @@ FAST_DECODE = {
     "rollout_depth": 4,
     "max_steps": 6,
 }
+
+
+# One wrongly typed value for each plain-typed key of the decode and phi
+# sections.
+BAD_SECTION_VALUES = [
+    ("decode", "beam_size", "x"),
+    ("decode", "rollouts_per_candidate", 2.0),
+    ("decode", "temperature", "hot"),
+    ("decode", "lambda1", True),
+    ("decode", "max_steps", 2.5),
+    ("decode", "rollout_depth", True),
+    ("decode", "max_step_tokens", "64"),
+    ("decode", "step_delimiter", 5),
+    ("decode", "answer_pattern", None),
+    ("decode", "rollout_samples", [1]),
+    ("decode", "max_completion_tokens", 1.5),
+    ("decode", "selection", 1),
+    ("decode", "prune_enabled", "no"),
+    ("phi", "delta", "x"),
+    ("phi", "combine_mode", 1),
+    ("phi", "alignment_weight", None),
+    ("phi", "cluster_distance", False),
+]
 
 
 def fast_config(**top):
@@ -162,6 +186,24 @@ class TestParseConfig:
     def test_backend_numbers_checked_by_key(self, key, value):
         with pytest.raises(PreconditionError, match=f"backend {key} must be"):
             parse_config({"backend": {key: value}})
+
+    @pytest.mark.parametrize("section, key, value", BAD_SECTION_VALUES)
+    def test_decode_and_phi_values_checked_by_key(self, section, key, value):
+        message = f"^{section} {key} must be [a-z]+, got {re.escape(repr(value))}$"
+        with pytest.raises(PreconditionError, match=message):
+            parse_config({"method": "phi", section: {key: value}})
+
+    def test_every_typed_decode_and_phi_key_is_checked(self):
+        # The decode seed comes from the run seed and is not a decode key.
+        typed = {(section, f.name)
+                 for section, cls in (("decode", DecodeConfig), ("phi", PhiConfig))
+                 for f in dataclasses.fields(cls) if f.type in ("int", "float", "bool", "str")}
+        cases = {(section, key) for section, key, _ in BAD_SECTION_VALUES}
+        assert cases == typed - {("decode", "seed")}
+
+    def test_invalid_answer_pattern_names_the_key(self):
+        with pytest.raises(PreconditionError, match="^answer_pattern must be a regular expression"):
+            parse_config({"decode": {"answer_pattern": "("}})
 
     def test_backend_float_fields_take_ints(self):
         backend = parse_config({"backend": {"drifts": [1, -1], "timeout": 5}}).backend
