@@ -5,24 +5,57 @@ Speaks to POST {base_url}/v1/completions with the JSON body fields
 back choices[0].text, choices[0].logprobs.token_logprobs and
 usage.completion_tokens. Echo stays disabled so the prompt never leaks
 into the sample. Tokenization is entirely the server's business: the engine
-counts whatever the server reports, nothing more.
+counts whatever the server reports, nothing more. `base_url` must be an
+http:// or https:// URL with a host; a path after the host prefixes the
+endpoint.
 
-Transport failures are retried with exponential backoff (3 retries by
-default). A request that succeeded only after a retry consumed a different
-server-side sample than a clean run would have, so the model drops its
-``replayable`` claim the first time that happens.
+Transport. Each thread that calls the model keeps one standard-library
+`http.client` connection open and sends all of its requests over it. A
+connection opens with a CONNECT_TIMEOUT_S limit on the connect (and the TLS
+handshake); after that every read waits up to `timeout` seconds. Before a
+kept-alive connection is reused, it is checked for a server-side close:
+such a socket reads as ready while no reply is due. A closed connection, or
+one whose last reply said `Connection: close`, is replaced by a new one;
+that reconnect is not a retry, since the server never saw a request on it.
+A thread's connection is closed when it is replaced, when the thread ends
+and when the model is dropped.
+
+Retries. A socket error or an HTTP framing error closes the connection;
+it and the statuses 429, 500, 502, 503 and 504 are retried with
+exponential backoff (3 retries by default). A request that succeeded only
+after a retry consumed a different server-side sample than a clean run
+would have, so the model drops its ``replayable`` claim the first time that
+happens. Any other status is a ProtocolError naming it; redirects (3xx) are
+not followed.
+
+TLS. With `verify_tls` the server certificate and host name are checked
+against the system trust store (`ssl.create_default_context`; the
+`SSL_CERT_FILE` and `SSL_CERT_DIR` variables point it elsewhere). Without
+it neither is checked.
+
+Proxies. The standard proxy variables choose the route, read when the model
+is made: `http_proxy`/`HTTP_PROXY` for an http base URL and
+`https_proxy`/`HTTPS_PROXY` for an https one, unless `no_proxy`/`NO_PROXY`
+names the host. A plain-http request goes to the proxy with the absolute
+URL as its target; an https one is tunnelled through it with CONNECT.
+The proxy itself is spoken to in plain HTTP, and credentials in its URL
+are not sent.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import select
+import ssl
 import threading
 import time
 from typing import Optional
+from urllib.parse import SplitResult, urlsplit
 
 import numpy as np
-import requests
 
-from ..errors import ProtocolError, TransportError
+from ..errors import PreconditionError, ProtocolError, TransportError
 from .base import (
     FINISH_DELIMITER,
     FINISH_EOS,
@@ -36,6 +69,55 @@ _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _SEED_SPAN = 2**31 - 1
 CONNECT_TIMEOUT_S = 10.0
 AUTH_SCHEME = "Bearer"
+ENDPOINT = "/v1/completions"
+
+
+def split_base_url(base_url: str) -> SplitResult:
+    """`base_url` split into its parts, or a PreconditionError when it is not
+    an http:// or https:// URL with a host (and a numeric port, if any)."""
+    parts = urlsplit(base_url)
+    try:
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        valid = False
+    if not valid:
+        raise PreconditionError(
+            f"backend base_url must be an http:// or https:// URL with a host, got {base_url!r}"
+        )
+    return parts
+
+
+def _proxy_for(parts: SplitResult) -> Optional[SplitResult]:
+    """The proxy the environment names for this URL, if any."""
+    # Imported here, not at the top: urllib.request takes about as long to
+    # import as the rest of this module, and only an HTTP run needs it.
+    from urllib.request import getproxies, proxy_bypass
+
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return None
+    return urlsplit(proxy if "://" in proxy else "http://" + proxy)
+
+
+def _closed_by_peer(sock) -> bool:
+    # An idle kept-alive socket has nothing to read unless the server has
+    # closed it (or broke the protocol); either way it is not reusable.
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Held:
+    """One thread's connection. Letting go of it closes the socket, so a
+    replaced connection, an ended thread or a dropped model leaves no open
+    socket behind for the garbage collector."""
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
 
 
 class HttpCompletionsModel(SequenceModel):
@@ -55,17 +137,29 @@ class HttpCompletionsModel(SequenceModel):
         verify_tls: bool = True,
     ):
         self.base_url = base_url.rstrip("/")
+        self._url = split_base_url(self.base_url)
         self.model = model
         self.temperature = temperature
-        self.timeout = (CONNECT_TIMEOUT_S, timeout)
+        self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.verify_tls = verify_tls
         self._headers = {"Content-Type": "application/json"}
         if auth_token is not None:
             self._headers[auth_header] = f"{AUTH_SCHEME} {auth_token}"
-        # requests.Session is not safe to share across threads; keep one per
-        # thread.
+        self._proxy = _proxy_for(self._url)
+        # A plain-http proxy takes the absolute URL; anything else the path.
+        if self._proxy is not None and self._url.scheme == "http":
+            self._target = self.base_url + ENDPOINT
+        else:
+            self._target = self._url.path + ENDPOINT
+        self._tls: Optional[ssl.SSLContext] = None
+        if self._url.scheme == "https":
+            self._tls = ssl.create_default_context()
+            if not verify_tls:
+                self._tls.check_hostname = False
+                self._tls.verify_mode = ssl.CERT_NONE
+        # An http.client connection carries one exchange at a time; keep one
+        # per thread.
         self._local = threading.local()
         self._replayable = True
         self._lock = threading.Lock()
@@ -74,15 +168,38 @@ class HttpCompletionsModel(SequenceModel):
     def replayable(self) -> bool:  # type: ignore[override]
         return self._replayable
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
+    def _connect(self) -> http.client.HTTPConnection:
+        # Ports are always given: http.client would read an IPv6 host's last
+        # group as one.
+        url = self._url
+        port = url.port or (443 if self._tls is not None else 80)
+        if self._proxy is None:
+            host = (url.hostname, port)
+        else:
+            host = (self._proxy.hostname, self._proxy.port or 80)
+        if self._tls is None:
+            conn = http.client.HTTPConnection(*host, timeout=CONNECT_TIMEOUT_S)
+        else:
+            conn = http.client.HTTPSConnection(*host, timeout=CONNECT_TIMEOUT_S,
+                                               context=self._tls)
+            if self._proxy is not None:
+                conn.set_tunnel(url.hostname, port)
+        conn.connect()
+        conn.sock.settimeout(self.timeout)
+        return conn
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, opened anew if there is none or the
+        server has closed it."""
+        held = getattr(self._local, "held", None)
+        if held is None or held.conn.sock is None or _closed_by_peer(held.conn.sock):
+            self._local.held = None
+            held = self._local.held = _Held(self._connect())
+        return held.conn
 
     def _post(self, body: dict) -> dict:
-        url = self.base_url + "/v1/completions"
+        url = self.base_url + ENDPOINT
+        data = json.dumps(body).encode("utf-8")
         attempt = 0
         last_error: Optional[str] = None
         while attempt <= self.max_retries:
@@ -91,27 +208,26 @@ class HttpCompletionsModel(SequenceModel):
                 with self._lock:
                     self._replayable = False
             try:
-                response = self._session().post(
-                    url,
-                    json=body,
-                    headers=self._headers,
-                    timeout=self.timeout,
-                    verify=self.verify_tls,
-                )
-            except requests.RequestException as exc:
+                conn = self._connection()
+                conn.request("POST", self._target, data, self._headers)
+                response = conn.getresponse()
+                reply = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._local.held = None
                 last_error = f"{type(exc).__name__}: {exc}"
                 attempt += 1
                 continue
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = f"HTTP {response.status_code}"
+            if response.status in _RETRYABLE_STATUS:
+                last_error = f"HTTP {response.status}"
                 attempt += 1
                 continue
-            if response.status_code != 200:
+            if response.status != 200:
                 raise ProtocolError(
-                    f"{url} returned HTTP {response.status_code}: {response.text[:200]}"
+                    f"{url} returned HTTP {response.status}: "
+                    f"{reply[:200].decode('utf-8', 'replace')}"
                 )
             try:
-                return response.json()
+                return json.loads(reply)
             except ValueError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body") from exc
         raise TransportError(

@@ -183,8 +183,11 @@ def substream_states(seed: int, keys: Sequence[Sequence[int]]) -> list[dict]:
 
 # The value types a config field accepts, by its annotation. A float field
 # takes an int too (YAML reads `timeout: 60` as one); a bool is never a
-# number, and no string is read as a bool.
-_FIELD_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+# number, and no string is read as a bool. An Optional[...] field of one of
+# these kinds also takes None (YAML's null).
+_PLAIN_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_FIELD_KINDS = {**_PLAIN_KINDS, **{f"Optional[{name}]": kinds + (type(None),)
+                                   for name, kinds in _PLAIN_KINDS.items()}}
 
 
 @functools.cache
@@ -194,10 +197,10 @@ def _typed_fields(cls: type) -> tuple[tuple[str, str, tuple[type, ...]], ...]:
 
 
 def check_field_types(config, section: str) -> None:
-    """Check each int, float, bool and str field of a config dataclass by
-    its annotation, so YAML's `x`, `2.5` or `"no"` in the wrong place is a
-    PreconditionError naming `section` and the key, not a TypeError deep
-    inside a decode or a string read as true."""
+    """Check each int, float, bool and str field (optional or not) of a
+    config dataclass by its annotation, so YAML's `x`, `2.5` or `"no"` in
+    the wrong place is a PreconditionError naming `section` and the key,
+    not a TypeError deep inside a decode or a string read as true."""
     for name, annotation, kinds in _typed_fields(type(config)):
         value = getattr(config, name)
         if type(value) not in kinds:

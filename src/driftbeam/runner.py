@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .backends.base import SequenceModel, StepSample
-from .backends.http import HttpCompletionsModel
+from .backends.http import HttpCompletionsModel, split_base_url
 from .backends.scripted import ScriptedModel, load_fixture, parse_fixture
 from .backends.synthetic import SyntheticModel, SyntheticTask
 from .baselines import PhiConfig, ar_cot_decode, phi_decode
@@ -123,6 +123,8 @@ class BackendSpec:
             raise PreconditionError("scripted backend requires a fixture path")
         if self.kind == "http" and not (self.base_url and self.model):
             raise PreconditionError("http backend requires base_url and model")
+        if self.base_url is not None:
+            split_base_url(self.base_url)
 
     def base_task(self) -> SyntheticTask:
         if self.drifts is not None:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from driftbeam.cli import _build_config, build_parser, main
+from driftbeam.runner import ENV_BASE_URL
 
 FAST = ["-M", "2", "-N", "2", "--rollout-depth", "4", "--max-steps", "5"]
 
@@ -233,6 +234,21 @@ class TestDecode:
         config_path = tmp_path / "section.yaml"
         config_path.write_text(f"method: phi\n{section}:\n  {key}: {value}\n")
         code, out, err = run_cli(capfd, "decode", "--config", str(config_path), "--prompt", "x")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "PreconditionError", "message": message}
+
+    @pytest.mark.parametrize("text, message", [
+        ("output_dir: 5\n", "config output_dir must be Optional[str], got 5"),
+        ("backend:\n  kind: http\n  base_url: localhost:8000\n  model: m\n",
+         "backend base_url must be an http:// or https:// URL with a host, "
+         "got 'localhost:8000'"),
+    ])
+    def test_bad_optional_value_is_error_record(self, capfd, tmp_path, monkeypatch, text,
+                                                message):
+        monkeypatch.delenv(ENV_BASE_URL, raising=False)
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(text)
+        code, out, err = run_cli(capfd, "bench", "--config", str(config_path))
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "PreconditionError", "message": message}
 

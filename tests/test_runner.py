@@ -57,6 +57,17 @@ BAD_SECTION_VALUES = [
     ("phi", "cluster_distance", False),
 ]
 
+# One wrongly typed value for each Optional[int|float|bool|str] config field.
+BAD_OPTIONAL_VALUES = [
+    (RunConfig, "config", "output_dir", 5),
+    (RunConfig, "config", "preset", 5),
+    (BackendSpec, "backend", "fixture", 5),
+    (BackendSpec, "backend", "base_url", 5),
+    (BackendSpec, "backend", "model", ["m"]),
+    (BackendSpec, "backend", "auth_token", 5),
+    (DecodeConfig, "decode", "epsilon_stop", [1e-6]),
+]
+
 
 def fast_config(**top):
     base = {"dataset": "synthetic:4", "decode": dict(FAST_DECODE)}
@@ -210,6 +221,26 @@ class TestParseConfig:
         assert backend.drifts == (1.0, -1.0)
         assert all(type(d) is float for d in backend.drifts)
         assert backend.timeout == 5
+
+    @pytest.mark.parametrize("cls, section, key, value", BAD_OPTIONAL_VALUES)
+    def test_optional_values_checked_by_key(self, cls, section, key, value):
+        message = f"^{section} {key} must be Optional\\[[a-z]+\\], got {re.escape(repr(value))}$"
+        with pytest.raises(PreconditionError, match=message):
+            cls(**{key: value})
+
+    def test_every_optional_plain_field_is_checked(self):
+        optional = {f"Optional[{kind}]" for kind in ("int", "float", "bool", "str")}
+        typed = {(cls, f.name)
+                 for cls in (RunConfig, BackendSpec, DecodeConfig, PhiConfig)
+                 for f in dataclasses.fields(cls) if f.type in optional}
+        assert {(cls, key) for cls, _, key, _ in BAD_OPTIONAL_VALUES} == typed
+
+    @pytest.mark.parametrize("base_url", ["localhost:8000", "ftp://h", "http://", "http://h:x"])
+    def test_unusable_base_url_rejected(self, base_url, monkeypatch):
+        monkeypatch.delenv(ENV_BASE_URL, raising=False)
+        with pytest.raises(PreconditionError,
+                           match="^backend base_url must be an http:// or https:// URL with a host"):
+            parse_config({"backend": {"kind": "http", "base_url": base_url, "model": "m"}})
 
 
 class TestPresets:
