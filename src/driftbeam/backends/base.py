@@ -82,9 +82,15 @@ class SequenceModel(ABC):
     The `rng` passed to each call is lent for that call only: draw from it
     before returning and never keep it. The decode loop sets the same
     generator to the next call's stream as soon as the call returns.
+
+    `uses_rng` declares whether the backend draws from `rng` at all. A
+    backend that sets it False (the scripted one) is handed `rng=None` for
+    its proposals and rollouts, and the decode loop derives no stream for
+    them; such a backend must never draw.
     """
 
     replayable: bool = True
+    uses_rng: bool = True
 
     @abstractmethod
     def propose_step(

@@ -31,7 +31,10 @@ not followed.
 TLS. With `verify_tls` the server certificate and host name are checked
 against the system trust store (`ssl.create_default_context`; the
 `SSL_CERT_FILE` and `SSL_CERT_DIR` variables point it elsewhere). Without
-it neither is checked.
+it neither is checked. A process builds one TLS context per `verify_tls`
+setting and every https model shares it, so the trust store is read when
+the first https model with that setting is made; later changes to those
+variables do not reach it.
 
 Proxies. The standard proxy variables choose the route, read when the model
 is made: `http_proxy`/`HTTP_PROXY` for an http base URL and
@@ -44,6 +47,7 @@ are not sent.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import select
@@ -100,6 +104,17 @@ def _proxy_for(parts: SplitResult) -> Optional[SplitResult]:
     return urlsplit(proxy if "://" in proxy else "http://" + proxy)
 
 
+@functools.cache
+def _tls_context(verify: bool) -> ssl.SSLContext:
+    # Loading the trust store takes tens of milliseconds, and the runner
+    # makes one model per task, so every model with this setting shares one.
+    context = ssl.create_default_context()
+    if not verify:
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+    return context
+
+
 def _closed_by_peer(sock) -> bool:
     # An idle kept-alive socket has nothing to read unless the server has
     # closed it (or broke the protocol); either way it is not reusable.
@@ -152,12 +167,7 @@ class HttpCompletionsModel(SequenceModel):
             self._target = self.base_url + ENDPOINT
         else:
             self._target = self._url.path + ENDPOINT
-        self._tls: Optional[ssl.SSLContext] = None
-        if self._url.scheme == "https":
-            self._tls = ssl.create_default_context()
-            if not verify_tls:
-                self._tls.check_hostname = False
-                self._tls.verify_mode = ssl.CERT_NONE
+        self._tls = _tls_context(verify_tls) if self._url.scheme == "https" else None
         # An http.client connection carries one exchange at a time; keep one
         # per thread.
         self._local = threading.local()

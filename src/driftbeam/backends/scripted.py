@@ -11,6 +11,10 @@ that hash, in file order. ``parse_fixture`` turns the records into one
 immutable queue per hash, which any number of models can share; each model
 keeps its own cursors, and ``fresh()`` gives the decode that calls it a new,
 rewound cursor map, which is what makes replayed runs repeatable end to end.
+The cursor map is keyed by (kind, prefix) and holds that pair's hash, queue
+and position, so a decode hashes each (kind, prefix) it asks about once, on
+its first query. The model draws no randomness: it declares
+``uses_rng = False`` and ignores the ``rng`` it is handed.
 
 RecordingModel wraps a live model and appends every response to a fixture
 list, so fixtures are captured by running the real thing once.
@@ -105,6 +109,7 @@ class ScriptedModel(SequenceModel):
     """
 
     replayable = True
+    uses_rng = False
 
     def __init__(
         self,
@@ -115,28 +120,31 @@ class ScriptedModel(SequenceModel):
         if not isinstance(records, Mapping):
             records = parse_fixture(records)
         self._queues = records
-        self._cursors: dict[str, int] = {}
+        # (kind, prefix) -> [fixture key, queue, next position]
+        self._cursors: dict[tuple[str, str], list] = {}
 
     def fresh(self) -> "ScriptedModel":
         self._cursors = {}
         return self
 
     def _next(self, kind: str, prefix: str) -> StepSample:
-        key = fixture_key(kind, prefix)
-        queue = self._queues.get(key, ())
-        position = self._cursors.get(key, 0)
+        cursor = self._cursors.get((kind, prefix))
+        if cursor is None:
+            key = fixture_key(kind, prefix)
+            cursor = self._cursors[kind, prefix] = [key, self._queues.get(key, ()), 0]
+        key, queue, position = cursor
         if position >= len(queue):
             raise ProtocolError(
                 f"no scripted {kind} sample for prefix of {len(prefix)} chars "
                 f"(key {key[:12]}..., consumed {position})"
             )
-        self._cursors[key] = position + 1
+        cursor[2] = position + 1
         return queue[position]
 
     def propose_step(
         self,
         prefix: str,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         *,
         max_tokens: int,
         stop: Optional[str] = None,
@@ -144,10 +152,12 @@ class ScriptedModel(SequenceModel):
     ) -> StepSample:
         return self._next("propose", prefix)
 
-    def rollout(self, prefix: str, depth: int, rng: np.random.Generator) -> StepSample:
+    def rollout(self, prefix: str, depth: int, rng: Optional[np.random.Generator]) -> StepSample:
         return self._next("rollout", prefix)
 
-    def complete(self, prefix: str, max_tokens: int, rng: np.random.Generator) -> StepSample:
+    def complete(
+        self, prefix: str, max_tokens: int, rng: Optional[np.random.Generator]
+    ) -> StepSample:
         return self._next("complete", prefix)
 
 
@@ -161,6 +171,10 @@ class RecordingModel(SequenceModel):
     @property
     def replayable(self) -> bool:  # type: ignore[override]
         return self.inner.replayable
+
+    @property
+    def uses_rng(self) -> bool:  # type: ignore[override]
+        return self.inner.uses_rng
 
     def fresh(self) -> "RecordingModel":
         self.inner = self.inner.fresh()

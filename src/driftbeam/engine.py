@@ -23,9 +23,12 @@ a pure function of the config and the backend's replies. A step's propose
 and rollout keys are all known before its first backend call, so
 `expand_beam` derives their PCG64 states in one batch (`substream_states`)
 and sets one bit generator, local to the call, to each state in turn; each
-backend call draws exactly what `substream(seed, *key)` would give it. The
-step's select stream and each survivor's completion stream come from
-`substream` itself.
+backend call draws exactly what `substream(seed, *key)` would give it. A
+backend that declares `uses_rng = False` (scripted replay) draws nothing,
+so `expand_beam` derives none of those streams and passes it `rng=None`;
+what it returns cannot depend on a stream. The step's select stream and
+each survivor's completion stream come from `substream` itself, for every
+backend.
 """
 
 from __future__ import annotations
@@ -455,22 +458,28 @@ def expand_beam(
     if not live:
         raise DecodeStalledError("expand_beam called with no live paths")
 
-    # Every stream of the step, in the order the calls below use them: each
-    # candidate's proposal, then its rollouts. One bit generator is set to
-    # each stream's state in turn; the backend draws before it returns.
     samples = range(config.rollout_samples)
-    keys = []
-    for path in live:
-        for cand_index in range(config.rollouts_per_candidate):
-            keys.append((TAG_PROPOSE, step, path.path_id, cand_index, 0))
-            keys.extend((TAG_ROLLOUT, step, path.path_id, cand_index, s) for s in samples)
-    states = iter(substream_states(config.seed, keys))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    if model.uses_rng:
+        # Every stream of the step, in the order the calls below use them:
+        # each candidate's proposal, then its rollouts. One bit generator is
+        # set to each stream's state in turn; the backend draws before it
+        # returns.
+        keys = []
+        for path in live:
+            for cand_index in range(config.rollouts_per_candidate):
+                keys.append((TAG_PROPOSE, step, path.path_id, cand_index, 0))
+                keys.extend((TAG_ROLLOUT, step, path.path_id, cand_index, s) for s in samples)
+        states = iter(substream_states(config.seed, keys))
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
 
-    def next_stream() -> np.random.Generator:
-        bit_generator.state = next(states)
-        return rng
+        def next_stream() -> Optional[np.random.Generator]:
+            bit_generator.state = next(states)
+            return rng
+    else:
+        # A backend that never draws gets no stream: a draw from None fails.
+        def next_stream() -> Optional[np.random.Generator]:
+            return None
 
     # Every backend call of the step comes before any quality is computed,
     # so a later TransportError wins over an earlier sample that cannot be

@@ -32,7 +32,19 @@ _COMMA_NUMBER_RE = re.compile(r"[+-]?\d{1,3}(,\d{3})+(\.\d+)?")
 
 
 def normalize_answer(text: str) -> str:
-    """Canonical comparison form of one extracted answer."""
+    """Canonical comparison form of one extracted answer.
+
+    One pass can expose more to strip (`".."` loses one period, `"'a'."`
+    its quotes only after the period), so passes repeat until the form is
+    stable; each pass shortens the text or leaves a canonical number.
+    """
+    out = _normalize_pass(text)
+    while (again := _normalize_pass(out)) != out:
+        out = again
+    return out
+
+
+def _normalize_pass(text: str) -> str:
     out = text.strip().casefold()
     if len(out) >= 2 and out[0] == out[-1] and out[0] in "'\"":
         out = out[1:-1].strip()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbeam import NumericInputError, PreconditionError, ProtocolError
+from driftbeam import DecodeConfig, NumericInputError, PreconditionError, ProtocolError, engine
+from driftbeam.backends import scripted
 from driftbeam.backends.base import (
     FINISH_DELIMITER,
     FINISH_EOS,
@@ -24,6 +25,7 @@ from driftbeam.backends.scripted import (
     save_fixture,
 )
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
+from driftbeam.runner import decode_with
 
 
 def rng_for(*seed):
@@ -284,6 +286,23 @@ class TestScripted:
         with pytest.raises(ProtocolError):
             model.propose_step("Q\n", rng_for(0), max_tokens=8)  # queue exhausted
 
+    def test_unscripted_and_exhausted_messages(self):
+        model = ScriptedModel(self._records())
+        rollout_key = fixture_key("rollout", "Q\n")[:12]
+        propose_key = fixture_key("propose", "Q\n")[:12]
+        with pytest.raises(ProtocolError) as unscripted:
+            model.rollout("Q\n", 4, None)
+        assert str(unscripted.value) == (
+            f"no scripted rollout sample for prefix of 2 chars (key {rollout_key}..., consumed 0)"
+        )
+        model.propose_step("Q\n", None, max_tokens=8)
+        model.propose_step("Q\n", None, max_tokens=8)
+        with pytest.raises(ProtocolError) as exhausted:
+            model.propose_step("Q\n", None, max_tokens=8)
+        assert str(exhausted.value) == (
+            f"no scripted propose sample for prefix of 2 chars (key {propose_key}..., consumed 2)"
+        )
+
     def test_fixture_io_roundtrip(self, tmp_path):
         path = tmp_path / "fx.jsonl"
         save_fixture(path, self._records())
@@ -386,3 +405,88 @@ class TestRecording:
                 math.isclose(a, b, rel_tol=0, abs_tol=0) or a == b
                 for a, b in zip(have.token_logprobs, want.token_logprobs)
             )
+
+
+RECORDED_TASK = SyntheticTask(arm_count=3, drifts=(0.1, -0.05, 0.02), noise_std=0.2, horizon=3)
+
+
+def record_decode(method, config):
+    """A synthetic decode recorded through RecordingModel: its result and
+    the fixture records it left."""
+    recorder = RecordingModel(SyntheticModel(RECORDED_TASK))
+    result = decode_with(method, recorder, "Pick.\n", config)
+    return result, recorder.records
+
+
+class QueryLog(ScriptedModel):
+    """A scripted model that lists every (kind, prefix) it is asked for."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.queries = []
+
+    def _next(self, kind, prefix):
+        self.queries.append((kind, prefix))
+        return super()._next(kind, prefix)
+
+
+class TestScriptedDecode:
+    CONFIG = DecodeConfig(beam_size=3, rollouts_per_candidate=3, rollout_depth=3,
+                          max_steps=4, seed=21)
+
+    def test_each_kind_and_prefix_is_hashed_once_per_decode(self, monkeypatch):
+        _, records = record_decode("mfs", self.CONFIG)
+        hashed = []
+
+        def counting_key(kind, prefix):
+            hashed.append((kind, prefix))
+            return fixture_key(kind, prefix)
+
+        monkeypatch.setattr(scripted, "fixture_key", counting_key)
+        model = QueryLog(records)
+        for _ in range(2):
+            hashed.clear()
+            model.queries.clear()
+            decode_with("mfs", model, "Pick.\n", self.CONFIG)
+            assert sorted(hashed) == sorted(set(model.queries))
+            # Candidates of one path share their propose prefix, so the
+            # decode asks about most pairs more than once.
+            assert len(model.queries) > len(hashed)
+
+    def test_decodes_through_fresh_repeat(self):
+        live, records = record_decode("mfs", self.CONFIG)
+        model = ScriptedModel(records)
+        first = decode_with("mfs", model, "Pick.\n", self.CONFIG)
+        second = decode_with("mfs", model, "Pick.\n", self.CONFIG)
+        assert first.to_dict() == second.to_dict() == live.to_dict()
+
+    def test_replay_derives_no_proposal_or_rollout_streams(self, monkeypatch):
+        live, records = record_decode("mfs", self.CONFIG)
+
+        def no_states(*args):
+            raise AssertionError("substream_states called during replay")
+
+        monkeypatch.setattr(engine, "substream_states", no_states)
+        replayed = decode_with("mfs", ScriptedModel(records), "Pick.\n", self.CONFIG)
+        assert replayed.to_dict() == live.to_dict()
+
+
+@given(
+    method=st.sampled_from(["mfs", "phi"]),
+    beam_size=st.integers(1, 3),
+    rollouts_per_candidate=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_recorded_decode_replays_to_the_same_result(
+    method, beam_size, rollouts_per_candidate, seed, data
+):
+    rollout_samples = data.draw(st.integers(1, rollouts_per_candidate), label="rollout_samples")
+    config = DecodeConfig(
+        beam_size=beam_size, rollouts_per_candidate=rollouts_per_candidate,
+        rollout_samples=rollout_samples, rollout_depth=3, max_steps=4, seed=seed,
+    )
+    live, records = record_decode(method, config)
+    replayed = decode_with(method, ScriptedModel(records), "Pick.\n", config)
+    assert replayed.to_dict() == live.to_dict()

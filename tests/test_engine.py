@@ -14,9 +14,11 @@ from driftbeam import (
     PreconditionError,
     TransportError,
     decode,
+    engine,
 )
 from driftbeam.backends.base import SequenceModel, StepSample
-from driftbeam.backends.scripted import ScriptedModel, fixture_key
+from driftbeam.backends.http import HttpCompletionsModel
+from driftbeam.backends.scripted import RecordingModel, ScriptedModel, fixture_key
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
 from driftbeam.engine import (
     STOP_CONVERGED,
@@ -236,6 +238,68 @@ class EmptyThenDown(DrawRecorder):
     def rollout(self, prefix, depth, rng):
         self.draws.append(("rollout", prefix, rng.random()))
         return StepSample("", (), "length")
+
+
+class NoDrawStub(SequenceModel):
+    """Declares that it never draws, and keeps the rng of every call."""
+
+    uses_rng = False
+
+    def __init__(self):
+        self.rngs = []
+
+    def _sample(self, rng):
+        self.rngs.append(rng)
+        return StepSample("x\n", (-0.5,), "delimiter")
+
+    def propose_step(self, prefix, rng, *, max_tokens, stop=None, sample_index=0):
+        return self._sample(rng)
+
+    def rollout(self, prefix, depth, rng):
+        return self._sample(rng)
+
+    def complete(self, prefix, max_tokens, rng):
+        return self._sample(rng)
+
+
+class DeclaresNoDrawButDraws(DrawRecorder):
+    uses_rng = False
+
+
+class TestUsesRng:
+    CONFIG = DecodeConfig(beam_size=2, rollouts_per_candidate=3, rollout_samples=2, seed=4)
+
+    def test_non_drawing_backend_gets_no_stream(self):
+        model = NoDrawStub()
+        candidates = expand_beam(model, mk_beam([0.1, 0.2]), self.CONFIG)
+        assert len(candidates) == 2 * 3
+        assert len(model.rngs) == 2 * 3 * (1 + 2)
+        assert all(rng is None for rng in model.rngs)
+
+    def test_non_drawing_backend_derives_no_state(self, monkeypatch):
+        def no_states(*args):
+            raise AssertionError("substream_states called for a non-drawing backend")
+
+        monkeypatch.setattr(engine, "substream_states", no_states)
+        candidates = expand_beam(NoDrawStub(), mk_beam([0.1, 0.2]), self.CONFIG)
+        assert len(candidates) == 2 * 3
+        with pytest.raises(AssertionError, match="non-drawing"):
+            expand_beam(DrawRecorder(), mk_beam([0.1, 0.2]), self.CONFIG)
+
+    def test_backend_that_declares_no_draws_but_draws_raises(self):
+        model = DeclaresNoDrawButDraws()
+        with pytest.raises(AttributeError):
+            expand_beam(model, mk_beam([0.1]), self.CONFIG)
+        assert model.draws == []
+
+    @pytest.mark.parametrize("inner", [DrawRecorder, NoDrawStub])
+    def test_recording_model_reports_its_inner_model(self, inner):
+        assert RecordingModel(inner()).uses_rng is inner.uses_rng
+
+    def test_declared_by_each_backend(self, two_arm_model):
+        assert two_arm_model.uses_rng is True
+        assert ScriptedModel([]).uses_rng is False
+        assert HttpCompletionsModel("http://127.0.0.1:9", "m").uses_rng is True
 
 
 class TestExpand:

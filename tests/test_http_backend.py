@@ -427,6 +427,17 @@ class TestTls:
             model.complete("Q\n", 8, rng())
         assert tls_server.requests == []
 
+    def test_one_context_per_verify_setting(self):
+        def context(verify):
+            return HttpCompletionsModel("https://127.0.0.1:9", "m", verify_tls=verify)._tls
+
+        assert context(True) is context(True)
+        assert context(False) is context(False)
+        assert context(True) is not context(False)
+        assert context(True).verify_mode == ssl.CERT_REQUIRED and context(True).check_hostname
+        assert context(False).verify_mode == ssl.CERT_NONE and not context(False).check_hostname
+        assert HttpCompletionsModel("http://127.0.0.1:9", "m")._tls is None
+
 
 def test_import_loads_neither_requests_nor_urllib3():
     """The client is standard library only; importing the package must not

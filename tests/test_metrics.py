@@ -45,6 +45,8 @@ class TestNormalization:
         ("007", "7"),
         ("  A  ", "a"),
         ("", ""),
+        ("..", ""),           # each pass may expose another sentence-final period
+        ("'a'.", "a"),        # quotes exposed by dropping the period
     ]
 
     @pytest.mark.parametrize("raw,canonical", TABLE)
