@@ -9,20 +9,31 @@ counts whatever the server reports, nothing more. `base_url` must be an
 http:// or https:// URL with a host; a path after the host prefixes the
 endpoint.
 
-Transport. Each thread that calls the model keeps one standard-library
-`http.client` connection open and sends all of its requests over it. A
-connection opens with a CONNECT_TIMEOUT_S limit on the connect (and the TLS
-handshake); after that every read waits up to `timeout` seconds. Before a
-kept-alive connection is reused, it is checked for a server-side close:
-such a socket reads as ready while no reply is due. A closed connection, or
-one whose last reply said `Connection: close`, is replaced by a new one;
-that reconnect is not a retry, since the server never saw a request on it.
-A thread's connection is closed when it is replaced, when the thread ends
-and when the model is dropped.
+Transport. Each thread that calls the model keeps one connection open and
+sends all of its requests over it. The standard-library `http.client` opens
+the connection: the TCP connect, a proxy's CONNECT tunnel and the TLS
+handshake, with a CONNECT_TIMEOUT_S limit; after that every read waits up
+to `timeout` seconds. The exchange itself is framed here, on the socket:
+the request head is built once per model, so each request is one write of
+that head, its Content-Length and the body, and each reply is read through
+one buffered reader that lives as long as the connection. A reply may be
+framed by Content-Length, by chunked transfer coding (chunk extensions and
+trailers are skipped) or, failing both, by the server closing the
+connection; interim 100 Continue replies are skipped. Status and header
+lines are capped at 65,536 bytes and a reply at 100 header lines, as in
+`http.client`. Before a kept-alive connection is reused, it is checked for
+a server-side close: such a socket reads as ready while no reply is due. A
+connection is not reused after a reply that said `Connection: close`, an
+HTTP/1.0 reply that did not say `Connection: keep-alive`, or a body that ran
+to the close; it and a closed connection are replaced by a new one. That
+reconnect is not a retry, since the server never saw a request on it. A
+thread's connection is closed when it is replaced, when the thread ends and
+when the model is dropped.
 
-Retries. A socket error or an HTTP framing error closes the connection;
-it and the statuses 429, 500, 502, 503 and 504 are retried with
-exponential backoff (3 retries by default). A request that succeeded only
+Retries. A socket error or an HTTP framing error (raised as one of
+`http.client`'s own exceptions) closes the connection; it and the statuses
+429, 500, 502, 503 and 504 are retried with exponential backoff (3 retries
+by default). A request that succeeded only
 after a retry consumed a different server-side sample than a clean run
 would have, so the model drops its ``replayable`` claim the first time that
 happens. Any other status is a ProtocolError naming it; redirects (3xx) are
@@ -121,17 +132,163 @@ def _closed_by_peer(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-class _Held:
-    """One thread's connection. Letting go of it closes the socket, so a
-    replaced connection, an ended thread or a dropped model leaves no open
-    socket behind for the garbage collector."""
+def _host_header(url: SplitResult, absolute_target: bool) -> bytes:
+    """The Host value `http.client` would send: the URL's netloc for an
+    absolute target (the request goes to a proxy), otherwise the host
+    (IDNA-encoded if not ASCII, bracketed if IPv6) with the port unless it
+    is the scheme's default; an IPv6 zone is dropped either way."""
 
-    __slots__ = ("conn",)
+    def encoded(name: str) -> bytes:
+        try:
+            return name.encode("ascii")
+        except UnicodeEncodeError:
+            return name.encode("idna")
+
+    if absolute_target:
+        host = encoded(url.netloc)
+    else:
+        host = encoded(url.hostname)
+        if b":" in host:
+            host = b"[" + host + b"]"
+    host, zone, _ = host.partition(b"%")
+    if zone:
+        host += b"]"
+    if not absolute_target and url.port not in (None, 443 if url.scheme == "https" else 80):
+        host += b":%d" % url.port
+    return host
+
+
+def _header_line(name: str, value: str) -> bytes:
+    """`name: value` as a request header line, or a PreconditionError for a
+    pair that would not make exactly one header (the value is not echoed:
+    it holds a credential)."""
+    if (name.isascii() and name and not any(c == ":" or c.isspace() for c in name)
+            and "\r" not in value and "\n" not in value):
+        try:
+            return name.encode("ascii") + b": " + value.encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+    raise PreconditionError(f"backend auth_header {name!r} and its token must make one HTTP header")
+
+
+# http.client's limits: bytes in one status, header or chunk-size line, and
+# header lines in one reply.
+_MAXLINE = 65536
+_MAXHEADERS = 100
+_BLANK = (b"\r\n", b"\n", b"")  # a blank line, or EOF, ends a header block
+_FRAMING_FIELDS = (b"content-length", b"transfer-encoding", b"connection")
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAXLINE + 1)
+    if len(line) > _MAXLINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_headers(reader) -> dict:
+    """Read a header block; return the first value of each framing field."""
+    fields = {}
+    count = 0
+    while (line := _read_line(reader, "header line")) not in _BLANK:
+        count += 1
+        if count > _MAXHEADERS:
+            raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name in _FRAMING_FIELDS:
+            fields.setdefault(name, value.strip())
+    return fields
+
+
+def _read_status(reader) -> tuple[str, int]:
+    line = _read_line(reader, "status line")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    text = str(line, "iso-8859-1")
+    parts = text.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        raise http.client.BadStatusLine(text)
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise http.client.BadStatusLine(text) from None
+    if not 100 <= status <= 999:
+        raise http.client.BadStatusLine(text)
+    return parts[0], status
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader, "chunk size")
+        if not line:
+            raise http.client.IncompleteRead(b"".join(chunks))
+        try:
+            size = int(line.partition(b";")[0], 16)  # an extension follows a ;
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.HTTPException(f"bad chunk size {line[:40]!r}")
+        if size == 0:
+            break
+        chunks.append(_read_exactly(reader, size))
+        _read_exactly(reader, 2)  # the CRLF after the chunk
+    while _read_line(reader, "trailer line") not in _BLANK:
+        pass
+    return b"".join(chunks)
+
+
+def _read_reply(reader) -> tuple[int, bytes, bool]:
+    """Read one reply as `http.client.HTTPResponse` would: its status, its
+    body, and whether the connection may carry another exchange. Bad
+    framing raises one of `http.client`'s exceptions."""
+    version, status = _read_status(reader)
+    while status == 100:  # an interim reply: skip it
+        _read_headers(reader)
+        version, status = _read_status(reader)
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http10 = True
+    elif version.startswith("HTTP/1."):
+        http10 = False
+    else:
+        raise http.client.UnknownProtocol(version)
+    fields = _read_headers(reader)
+    connection = fields.get(b"connection", b"").lower()
+    keep_alive = b"keep-alive" in connection if http10 else b"close" not in connection
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader), keep_alive
+    if status < 200 or status in (204, 304):
+        return status, b"", keep_alive
+    length = fields.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False  # the body runs to the close
+    if not length.isdigit():
+        raise http.client.HTTPException(f"bad Content-Length {length[:40]!r}")
+    return status, _read_exactly(reader, int(length)), keep_alive
+
+
+class _Held:
+    """One thread's connection and the reader that lives as long as it.
+    Letting go of it closes both, so a replaced connection, an ended thread
+    or a dropped model leaves no open socket behind for the garbage
+    collector."""
+
+    __slots__ = ("conn", "reader")
 
     def __init__(self, conn: http.client.HTTPConnection):
         self.conn = conn
+        self.reader = conn.sock.makefile("rb")
 
     def __del__(self):
+        self.reader.close()
         self.conn.close()
 
 
@@ -158,18 +315,30 @@ class HttpCompletionsModel(SequenceModel):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._headers = {"Content-Type": "application/json"}
-        if auth_token is not None:
-            self._headers[auth_header] = f"{AUTH_SCHEME} {auth_token}"
         self._proxy = _proxy_for(self._url)
         # A plain-http proxy takes the absolute URL; anything else the path.
-        if self._proxy is not None and self._url.scheme == "http":
+        absolute_target = self._proxy is not None and self._url.scheme == "http"
+        if absolute_target:
             self._target = self.base_url + ENDPOINT
         else:
             self._target = self._url.path + ENDPOINT
+        if not self._target.isascii() or any(c <= " " or c == "\x7f" for c in self._target):
+            raise PreconditionError(
+                f"backend base_url must be printable ASCII without spaces, got {base_url!r}"
+            )
+        # Every request sends the headers http.client would; only
+        # Content-Length is added per request, after this head.
+        head = [
+            b"POST " + self._target.encode("ascii") + b" HTTP/1.1",
+            b"Host: " + _host_header(self._url, absolute_target),
+            b"Accept-Encoding: identity",
+            b"Content-Type: application/json",
+        ]
+        if auth_token is not None:
+            head.append(_header_line(auth_header, f"{AUTH_SCHEME} {auth_token}"))
+        self._head = b"\r\n".join(head) + b"\r\nContent-Length: "
         self._tls = _tls_context(verify_tls) if self._url.scheme == "https" else None
-        # An http.client connection carries one exchange at a time; keep one
-        # per thread.
+        # A connection carries one exchange at a time; keep one per thread.
         self._local = threading.local()
         self._replayable = True
         self._lock = threading.Lock()
@@ -198,18 +367,19 @@ class HttpCompletionsModel(SequenceModel):
         conn.sock.settimeout(self.timeout)
         return conn
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Held:
         """This thread's connection, opened anew if there is none or the
         server has closed it."""
         held = getattr(self._local, "held", None)
-        if held is None or held.conn.sock is None or _closed_by_peer(held.conn.sock):
+        if held is None or _closed_by_peer(held.conn.sock):
             self._local.held = None
             held = self._local.held = _Held(self._connect())
-        return held.conn
+        return held
 
     def _post(self, body: dict) -> dict:
         url = self.base_url + ENDPOINT
         data = json.dumps(body).encode("utf-8")
+        message = self._head + b"%d\r\n\r\n" % len(data) + data
         attempt = 0
         last_error: Optional[str] = None
         while attempt <= self.max_retries:
@@ -218,22 +388,23 @@ class HttpCompletionsModel(SequenceModel):
                 with self._lock:
                     self._replayable = False
             try:
-                conn = self._connection()
-                conn.request("POST", self._target, data, self._headers)
-                response = conn.getresponse()
-                reply = response.read()
+                held = self._connection()
+                held.conn.sock.sendall(message)
+                status, reply, keep_alive = _read_reply(held.reader)
             except (OSError, http.client.HTTPException) as exc:
                 self._local.held = None
                 last_error = f"{type(exc).__name__}: {exc}"
                 attempt += 1
                 continue
-            if response.status in _RETRYABLE_STATUS:
-                last_error = f"HTTP {response.status}"
+            if not keep_alive:
+                self._local.held = None
+            if status in _RETRYABLE_STATUS:
+                last_error = f"HTTP {status}"
                 attempt += 1
                 continue
-            if response.status != 200:
+            if status != 200:
                 raise ProtocolError(
-                    f"{url} returned HTTP {response.status}: "
+                    f"{url} returned HTTP {status}: "
                     f"{reply[:200].decode('utf-8', 'replace')}"
                 )
             try:

@@ -443,23 +443,31 @@ def execute_run(
     return output
 
 
+def _write_new(path: Path, data: bytes) -> None:
+    """Write `data` to `path` as a new file: an existing file is unlinked
+    first, not truncated in place. Truncating a file that holds blocks costs
+    far more than unlinking it on filesystems that discard freed blocks, and
+    a hard link to the old file keeps the old bytes. A symlink at `path` is
+    replaced by a regular file; its target is left as it was."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 def write_outputs(config: RunConfig, output: RunOutput, *, label: Optional[str] = None) -> Path:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = f"{label}-" if label else ""
-    (out_dir / f"{prefix}metrics.json").write_bytes(
-        canonical_json({
-            "failures": [[tid, msg] for tid, msg in output.failures],
-            "metrics": output.metrics.to_dict(),
-        })
-    )
-    with open(out_dir / f"{prefix}traces.jsonl", "wb") as handle:
-        for task_id, result in output.traces:
-            handle.write(canonical_json({"result": result, "task": task_id}))
-            handle.write(b"\n")
+    _write_new(out_dir / f"{prefix}metrics.json", canonical_json({
+        "failures": [[tid, msg] for tid, msg in output.failures],
+        "metrics": output.metrics.to_dict(),
+    }))
+    _write_new(out_dir / f"{prefix}traces.jsonl", b"".join(
+        canonical_json({"result": result, "task": task_id}) + b"\n"
+        for task_id, result in output.traces
+    ))
     table = {config.method: {_dataset_label(config): output.metrics}}
-    (out_dir / f"{prefix}report.md").write_bytes(emit_report(table, "markdown"))
-    (out_dir / f"{prefix}report.json").write_bytes(emit_report(table, "json"))
+    _write_new(out_dir / f"{prefix}report.md", emit_report(table, "markdown"))
+    _write_new(out_dir / f"{prefix}report.json", emit_report(table, "json"))
     return out_dir
 
 
@@ -516,17 +524,15 @@ def sweep(
     if config.output_dir is not None:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep-report.md").write_bytes(emit_report(rows, "markdown"))
-        (out_dir / "sweep-report.json").write_bytes(emit_report(rows, "json"))
-        (out_dir / "sweep-points.json").write_bytes(
-            canonical_json([
-                {
-                    "label": p.label,
-                    "metrics": p.metrics.to_dict(),
-                    "overrides": {k: v for k, v in p.overrides},
-                    "seed": p.seed,
-                }
-                for p in points
-            ])
-        )
+        _write_new(out_dir / "sweep-report.md", emit_report(rows, "markdown"))
+        _write_new(out_dir / "sweep-report.json", emit_report(rows, "json"))
+        _write_new(out_dir / "sweep-points.json", canonical_json([
+            {
+                "label": p.label,
+                "metrics": p.metrics.to_dict(),
+                "overrides": {k: v for k, v in p.overrides},
+                "seed": p.seed,
+            }
+            for p in points
+        ]))
     return points

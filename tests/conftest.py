@@ -1,9 +1,19 @@
 """Shared test fixtures: a small two-arm synthetic world and tmp helpers."""
 
 import pytest
+from hypothesis import settings
 
 from driftbeam import DecodeConfig
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
+
+# The property tests draw the same examples on every run, so one turns red
+# on the change that broke it rather than by chance; `pytest
+# --hypothesis-profile=explore` draws fresh ones. Each test keeps its own
+# max_examples, and a counterexample found by exploring is pinned in its
+# test with @example.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # acceptance verdicts survive output capture.

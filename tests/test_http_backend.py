@@ -1,9 +1,11 @@
 """HTTP backend tests against a local in-process completions server."""
 
 import contextlib
+import http.client
 import json
 import os
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from driftbeam import PreconditionError, ProtocolError, TransportError
-from driftbeam.backends.http import HttpCompletionsModel
+from driftbeam.backends.http import HttpCompletionsModel, split_base_url
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD")
@@ -155,6 +157,91 @@ def tls_server(tmp_path):
     context.load_cert_chain(cert, key)
     with serve(_KeepAliveHandler, tls=context) as httpd:
         yield httpd
+
+
+class _RawServer:
+    """Reads each request off the socket and answers it with scripted raw
+    bytes, for replies http.server cannot frame. `plan` holds one
+    (reply bytes, close after sending) step per request, the last one
+    repeating; every request is recorded with the index of its connection."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.server_address = self.listener.getsockname()
+        self.plan = [(raw_reply(completions_payload()), False)]
+        self.requests = []
+        self.connections = 0
+        self.open = []
+        self.lock = threading.Lock()
+        self.stopped = threading.Event()
+        self.threads = [threading.Thread(target=self._accept, daemon=True)]
+        self.threads[0].start()
+
+    def _accept(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with self.lock:
+                index = self.connections
+                self.connections += 1
+                self.open.append(conn)
+            thread = threading.Thread(target=self._serve, args=(conn, index), daemon=True)
+            self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn, index):
+        with conn, conn.makefile("rb") as reader:
+            try:
+                while True:
+                    request_line = reader.readline()
+                    if not request_line:
+                        return
+                    headers = []
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        headers.append(line.rstrip(b"\r\n").decode("latin-1"))
+                    lengths = [h.split(":", 1)[1] for h in headers
+                               if h.lower().startswith("content-length:")]
+                    body = reader.read(int(lengths[0]))
+                    with self.lock:
+                        self.requests.append({"line": request_line, "headers": headers,
+                                              "body": body, "connection": index})
+                        reply, close = self.plan[min(len(self.requests), len(self.plan)) - 1]
+                    conn.sendall(reply)
+                    if close:
+                        return
+            except OSError:
+                return
+
+    def close(self):
+        self.stopped.set()
+        with self.lock:
+            for conn in self.open:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+        for thread in self.threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        self.listener.close()
+
+
+def raw_reply(payload, *, version="HTTP/1.1", headers=(), length=True):
+    data = json.dumps(payload).encode("utf-8")
+    lines = [f"{version} 200 OK", "Content-Type: application/json", *headers]
+    if length:
+        lines.append(f"Content-Length: {len(data)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data
+
+
+@pytest.fixture
+def raw_server():
+    server = _RawServer()
+    try:
+        yield server
+    finally:
+        server.close()
 
 
 def address(server):
@@ -393,6 +480,205 @@ class TestConnection:
         assert len(keepalive_server.requests) == 2
         assert len({r["port"] for r in keepalive_server.requests}) == 2
         assert model.replayable is True
+
+
+class TestFraming:
+    """Replies framed in every way the client accepts, and the bad framings
+    it turns into retries."""
+
+    def test_chunked_reply_with_extension_and_trailer(self, raw_server):
+        data = json.dumps(completions_payload()).encode("utf-8")
+        head, tail = data[:10], data[10:]
+        raw_server.plan = [(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;name=value\r\n" % len(head) + head + b"\r\n"
+            + b"%X\r\n" % len(tail) + tail + b"\r\n"
+            + b"0\r\nX-Trailer: done\r\n\r\n",
+            False,
+        )]
+        model = make_model(raw_server)
+        for i in range(3):
+            assert model.complete("Q\n", 8, np.random.default_rng(i)).text == "deliberate 2\n"
+        assert [r["connection"] for r in raw_server.requests] == [0, 0, 0]
+        assert model.replayable is True
+
+    def test_http10_reply_ended_by_close(self, raw_server):
+        raw_server.plan = [(raw_reply(completions_payload(), version="HTTP/1.0", length=False),
+                            True)]
+        model = make_model(raw_server)
+        for i in range(2):
+            assert model.complete("Q\n", 8, np.random.default_rng(i)).text == "deliberate 2\n"
+        assert [r["connection"] for r in raw_server.requests] == [0, 1]
+        assert model.replayable is True  # the reconnect was no retry
+
+    @pytest.mark.parametrize("reply", [
+        raw_reply(completions_payload(), headers=("Connection: close",)),
+        raw_reply(completions_payload(), version="HTTP/1.0"),
+    ])
+    def test_reply_without_keep_alive_is_not_reused(self, raw_server, reply):
+        # The server leaves the socket open: only the reply says not to reuse it.
+        raw_server.plan = [(reply, False)]
+        model = make_model(raw_server)
+        for i in range(2):
+            model.complete("Q\n", 8, np.random.default_rng(i))
+        assert [r["connection"] for r in raw_server.requests] == [0, 1]
+        assert model.replayable is True
+
+    def test_http10_keep_alive_reply_keeps_the_connection(self, raw_server):
+        raw_server.plan = [(raw_reply(completions_payload(), version="HTTP/1.0",
+                                      headers=("Connection: keep-alive",)), False)]
+        model = make_model(raw_server)
+        for i in range(2):
+            model.complete("Q\n", 8, np.random.default_rng(i))
+        assert [r["connection"] for r in raw_server.requests] == [0, 0]
+
+    def test_100_continue_is_skipped(self, raw_server):
+        raw_server.plan = [(b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n"
+                            + raw_reply(completions_payload(text="after 100")), False)]
+        model = make_model(raw_server)
+        assert model.complete("Q\n", 8, rng()).text == "after 100"
+        assert model.complete("Q\n", 8, rng()).text == "after 100"
+        assert len(raw_server.requests) == 2 and raw_server.connections == 1
+
+    def test_one_hundred_header_lines_are_read(self, raw_server):
+        pads = tuple(f"X-Pad-{i}: {i}" for i in range(98))  # + Content-Type, Content-Length
+        raw_server.plan = [(raw_reply(completions_payload(), headers=pads), False)]
+        assert make_model(raw_server).complete("Q\n", 8, rng()).text == "deliberate 2\n"
+
+    @pytest.mark.parametrize("reply, close, error", [
+        (raw_reply(completions_payload(), headers=("X-Long: " + "a" * 65536,)), False,
+         "LineTooLong"),
+        (raw_reply(completions_payload(), headers=tuple(f"X-Pad-{i}: {i}" for i in range(99))),
+         False, "got more than 100 headers"),
+        (raw_reply(completions_payload())[:-5], True, "IncompleteRead"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", False, "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", False,
+         "bad chunk size"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", True,
+         "IncompleteRead"),
+        (b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n", False, "UnknownProtocol"),
+        (b"SPDY 200 OK\r\n\r\n", False, "BadStatusLine"),
+        (b"", True, "RemoteDisconnected"),
+    ])
+    def test_bad_framing_is_retried_then_transport_error(self, raw_server, reply, close, error):
+        raw_server.plan = [(reply, close)]
+        model = make_model(raw_server, max_retries=2)
+        with pytest.raises(TransportError, match=f"after 2 retries .*{error}"):
+            model.complete("Q\n", 8, rng())
+        assert len(raw_server.requests) == 3
+        assert raw_server.connections == 3  # a failed connection is never reused
+        assert model.replayable is False
+
+    def test_request_matches_http_client(self, raw_server):
+        """The server sees the request line, header set and body bytes that
+        `http.client` would send for the same request."""
+        model = make_model(raw_server, auth_token="sekrit")
+        model.propose_step("Q\n", rng(), max_tokens=16, stop="\n")
+        [sent] = raw_server.requests
+        body = sent["body"]
+        assert body == json.dumps(json.loads(body)).encode("utf-8")
+        conn = http.client.HTTPConnection(*raw_server.server_address, timeout=5)
+        try:
+            conn.request("POST", "/v1/completions", body,
+                         {"Content-Type": "application/json", "Authorization": "Bearer sekrit"})
+            conn.getresponse().read()
+        finally:
+            conn.close()
+        reference = raw_server.requests[1]
+        assert sent["line"] == reference["line"] == b"POST /v1/completions HTTP/1.1\r\n"
+        assert sorted(sent["headers"]) == sorted(reference["headers"])
+        assert body == reference["body"]
+
+    def test_sequential_requests_make_one_reader(self, keepalive_server, monkeypatch):
+        calls = []
+        makefile = socket.socket.makefile
+
+        def counting(sock, *args, **kwargs):
+            if sock.getpeername() == keepalive_server.server_address:  # client side only
+                calls.append(args)
+            return makefile(sock, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, "makefile", counting)
+        model = make_model(keepalive_server)
+        for i in range(6):
+            model.complete("Q\n", 8, np.random.default_rng(i))
+        assert len({r["port"] for r in keepalive_server.requests}) == 1
+        assert calls == [("rb",)]
+
+
+class _CapturedConnection(http.client.HTTPConnection):
+    """Records what http.client would write instead of connecting."""
+
+    def send(self, data):
+        self.sent = getattr(self, "sent", b"") + data
+
+
+class _CapturedTlsConnection(_CapturedConnection):
+    default_port = http.client.HTTPS_PORT
+
+
+def http_client_head(model, data):
+    """The request head `http.client` writes for `model`'s route and
+    headers: its request line and its set of header lines."""
+    url = model._url
+    port = url.port or (443 if url.scheme == "https" else 80)
+    cls = _CapturedTlsConnection if url.scheme == "https" else _CapturedConnection
+    if model._proxy is None:
+        conn = cls(url.hostname, port)
+    else:
+        conn = cls(model._proxy.hostname, model._proxy.port or 80)
+        if url.scheme == "https":
+            conn.set_tunnel(url.hostname, port)
+    conn.request("POST", model._target, data,
+                 {"Content-Type": "application/json", "Authorization": "Bearer t"})
+    head = conn.sent[:-len(data)].split(b"\r\n")
+    return head[0], sorted(head[1:-2])
+
+
+HEAD_URLS = [
+    "http://example.com", "http://example.com:80", "http://Example.com:8080/serve",
+    "https://example.com", "https://example.com:443", "https://example.com:8443/a/b",
+    "http://[::1]:8000", "http://[::1]", "https://[fe80::1%25eth0]:8443",
+    "http://b\u00fccher.example:8080", "https://b\u00fccher.example",
+    "http://user:pw@example.com:8080",
+]
+PROXY = "http://proxy.test:3128"
+
+
+# A plain-http proxy is sent the absolute URL, which http.client cannot send
+# for a non-ASCII host either (test_unsendable_target_fails_fast).
+@pytest.mark.parametrize("base_url, proxy", [(url, None) for url in HEAD_URLS] + [
+    (url, PROXY) for url in HEAD_URLS if url.isascii() or url.startswith("https:")
+])
+def test_request_head_matches_http_client(base_url, proxy, monkeypatch):
+    if proxy is not None:
+        monkeypatch.setenv(split_base_url(base_url).scheme + "_proxy", proxy)
+    model = HttpCompletionsModel(base_url, "m", auth_token="t")
+    data = b'{"prompt": "Q"}'
+    head = (model._head + b"%d\r\n\r\n" % len(data)).split(b"\r\n")
+    assert (head[0], sorted(head[1:-2])) == http_client_head(model, data)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"auth_token": "s3cr3t\r\nX-Injected: 1"}, {"auth_token": "s3cr3t\n"},
+    {"auth_token": "s3cr3t\u20ac"}, {"auth_token": "s3cr3t", "auth_header": "X Auth"},
+    {"auth_token": "s3cr3t", "auth_header": ""},
+])
+def test_header_that_is_not_one_header_fails_fast(kwargs):
+    with pytest.raises(PreconditionError, match="must make one HTTP header") as caught:
+        HttpCompletionsModel("http://127.0.0.1:9", "m", **kwargs)
+    assert "s3cr3t" not in str(caught.value)
+
+
+@pytest.mark.parametrize("base_url, proxy", [
+    ("http://127.0.0.1:9/a b", None), ("http://127.0.0.1:9/\u00e9", None),
+    ("http://b\u00fccher.example:8080", PROXY),
+])
+def test_unsendable_target_fails_fast(base_url, proxy, monkeypatch):
+    if proxy is not None:
+        monkeypatch.setenv("http_proxy", proxy)
+    with pytest.raises(PreconditionError, match="printable ASCII without spaces"):
+        HttpCompletionsModel(base_url, "m")
 
 
 class TestProxy:

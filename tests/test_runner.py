@@ -387,6 +387,20 @@ class TestExecuteRun:
         assert canonical_json(a.metrics.to_dict()) == canonical_json(b.metrics.to_dict())
         assert canonical_json(a.traces) == canonical_json(b.traces)
 
+    def test_rewrite_makes_new_files(self, tmp_path):
+        """A second write into the same output_dir creates each output
+        anew rather than truncating it: a hard link to the first
+        metrics.json keeps the first file, and both writes are identical."""
+        config = fast_config(seed=2, output_dir=str(tmp_path))
+        names = ("metrics.json", "traces.jsonl", "report.md", "report.json")
+        execute_run(config)
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        (tmp_path / "linked.json").hardlink_to(tmp_path / "metrics.json")
+        execute_run(config)
+        assert (tmp_path / "linked.json").read_bytes() == first["metrics.json"]
+        assert (tmp_path / "linked.json").stat().st_nlink == 1  # no longer shared
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
+
     def test_run_helper_returns_metrics(self):
         metrics = execute_run(fast_config(seed=3)).metrics
         assert metrics.total == 4
