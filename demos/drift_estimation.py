@@ -33,11 +33,13 @@ for n in (4, 16, 64, 256, 1024, 4096):
     print(f"{n:8d}    {np.mean(errors):11.5f}    {bound:15.5f}")
 
 # -- residual spread ----------------------------------------------------------
-# the estimate also carries the noise scale, which is what the adaptive
-# prune threshold feeds on.
+# the estimate is the drift alone; the noise it was extracted from is the
+# rollouts' own spread. (The adaptive prune threshold reads a different
+# spread: that of the live beam's path qualities.)
 rollouts = parent_quality + rng.normal(true_drift, sigma, 4096)
 est = estimate_predictable_advantage(parent_quality, rollouts.tolist())
-print(f"\nresidual std from 4096 rollouts: {est.residual_std:.4f} (true {sigma})")
+print(f"\ndrift from 4096 rollouts: {est.drift:.4f} (true {true_drift})")
+print(f"residual std of those rollouts: {np.std(rollouts):.4f} (true {sigma})")
 
 # -- convergence test ---------------------------------------------------------
 # with epsilon at 3*sigma/sqrt(N), a flat process should read as converged

@@ -28,28 +28,30 @@ print(f"live decode: answer {live.final_answer!r}, stop {live.stop_reason} "
       f"at step {live.stop_step}, {live.tokens_generated} tokens")
 print(f"captured {len(recorder.records)} model calls")
 
-fixture_path = Path(tempfile.mkdtemp()) / "two_arm.jsonl"
-recorder.save(fixture_path)
+# the tape lives in a temporary directory, removed when the replays are done.
+with tempfile.TemporaryDirectory() as tmp:
+    fixture_path = Path(tmp) / "two_arm.jsonl"
+    recorder.save(fixture_path)
 
-# -- inspect the tape -------------------------------------------------------------
-records = load_fixture(fixture_path)
-first = records[0]
-print(f"\nfirst record keys: {sorted(first)}")
-print(f"  text {first['text']!r}")
-print(f"  logprobs {[round(x, 3) for x in first['logprobs']]}")
-print(f"  finish {first['finish_reason']!r}, prefix_hash {first['prefix_hash'][:12]}...")
+    # -- inspect the tape ---------------------------------------------------------
+    records = load_fixture(fixture_path)
+    first = records[0]
+    print(f"\nfirst record keys: {sorted(first)}")
+    print(f"  text {first['text']!r}")
+    print(f"  logprobs {[round(x, 3) for x in first['logprobs']]}")
+    print(f"  finish {first['finish_reason']!r}, prefix_hash {first['prefix_hash'][:12]}...")
 
-# -- replay -----------------------------------------------------------------------
-replayed = decode(ScriptedModel(fixture_path), prompt, config)
-live_bytes = canonical_json(live.to_dict())
-replay_bytes = canonical_json(replayed.to_dict())
-print(f"\nreplay identical: {live_bytes == replay_bytes} "
-      f"({len(replay_bytes)} canonical bytes)")
+    # -- replay -------------------------------------------------------------------
+    replayed = decode(ScriptedModel(fixture_path), prompt, config)
+    live_bytes = canonical_json(live.to_dict())
+    replay_bytes = canonical_json(replayed.to_dict())
+    print(f"\nreplay identical: {live_bytes == replay_bytes} "
+          f"({len(replay_bytes)} canonical bytes)")
 
-# the scripted backend serves queues per (kind, prefix) in file order, so
-# a second replay from the same tape is also identical.
-again = decode(ScriptedModel(fixture_path), prompt, config)
-print(f"second replay identical: {canonical_json(again.to_dict()) == live_bytes}")
+    # the scripted backend serves queues per (kind, prefix) in file order, so
+    # a second replay from the same tape is also identical.
+    again = decode(ScriptedModel(fixture_path), prompt, config)
+    print(f"second replay identical: {canonical_json(again.to_dict()) == live_bytes}")
 
 # peek at the trace instead of the tape: the same story, event by event.
 kinds = [event["event"] for event in live.trace]

@@ -42,9 +42,18 @@ def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise DatasetError(f"{path}:{line_no}: not a JSON object: {line[:40]}")
             for field in ("id", "prompt", "answer"):
                 if field not in record:
                     raise DatasetError(f"{path}:{line_no}: missing field {field!r}")
+                value = record[field]  # a numeric id or answer is read as its string
+                numeric = type(value) in (int, float)  # so a bool is no number here
+                if not (isinstance(value, str) or (numeric and field != "prompt")):
+                    kind = "a string" if field == "prompt" else "a string or a number"
+                    raise DatasetError(
+                        f"{path}:{line_no}: {field!r} must be {kind}, got {json.dumps(value)}"
+                    )
             task_id = str(record["id"])
             if task_id in seen:
                 raise DatasetError(f"{path}:{line_no}: duplicate id {task_id!r}")
@@ -52,7 +61,7 @@ def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
             instances.append(
                 TaskInstance(
                     id=task_id,
-                    prompt=str(record["prompt"]),
+                    prompt=record["prompt"],
                     gold_answer=str(record["answer"]),
                 )
             )

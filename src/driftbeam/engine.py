@@ -306,9 +306,10 @@ class DecodeConfig:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Candidate:
-    """One proposed step with its foresight evidence."""
+    """One proposed step with its foresight evidence. Not frozen: M·N are built
+    per step, and a frozen dataclass pays one object.__setattr__ per field."""
 
     parent_path_id: int
     index: int

@@ -2,9 +2,9 @@
 
 The quality of a partial reasoning path is treated as a process F_t observed
 once per step through foresight rollouts. Everything here is a pure function
-of its arguments: drift estimation (the predictable part of the process, via
-sample means), the deficit of a path behind the current best, an adaptive
-prune threshold from the population statistics of the live beam, a
+of its arguments: drift estimation (the predictable part of the process: mean
+rollout quality minus the latest one), the deficit of a path behind the best,
+an adaptive prune threshold from the population statistics of the live beam, a
 convergence test on the best available drift, and pooled statistics over
 whole advantage trajectories.
 
@@ -72,16 +72,10 @@ def _variance(values: Sequence[float], mean: float, name: str) -> float:
 
 @dataclass(frozen=True, slots=True)
 class DoobEstimate:
-    """Monte-Carlo estimate of one predictable-advantage increment.
-
-    drift is the trend part (mean rollout quality minus the previous
-    quality); residual_std is the dispersion of the rollout qualities —
-    the noise the trend was extracted from.
-    """
+    """Monte-Carlo estimate of one predictable-advantage increment: drift is
+    the trend part, the mean rollout quality minus the previous quality."""
 
     drift: float
-    residual_std: float
-    sample_count: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,18 +106,14 @@ def estimate_predictable_advantage(
 
     The process splits into a predictable trend plus zero-mean noise; with
     rollout qualities as samples of the next value, the trend increment is
-    estimated by their mean minus the previous quality.
+    estimated by their mean minus the previous quality. Only that mean is
+    computed: the noise's spread is not.
     """
     if len(rollout_qualities) == 0:
         raise PreconditionError("rollout_qualities must be non-empty")
     _check_finite(previous_quality, "previous_quality")
     qualities = _check_all_finite(rollout_qualities, "rollout_qualities")
-    mean = finite_mean(qualities, "rollout_qualities")
-    return DoobEstimate(
-        drift=mean - previous_quality,
-        residual_std=math.sqrt(_variance(qualities, mean, "rollout_qualities")),
-        sample_count=len(qualities),
-    )
+    return DoobEstimate(drift=finite_mean(qualities, "rollout_qualities") - previous_quality)
 
 
 def deficit(best_quality: float, path_quality: float) -> float:

@@ -70,6 +70,28 @@ class TestLoadDataset:
         inst = load_dataset(path)[0]
         assert inst.id == "7" and inst.gold_answer == "4"
 
+    @pytest.mark.parametrize("line", ["5", '["id", "prompt", "answer"]', '"t1"', "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text('{"id": "t1", "prompt": "Q", "answer": "4"}\n' + line + "\n")
+        with pytest.raises(DatasetError, match="tasks.jsonl:2: not a JSON object"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("prompt", [None, {"x": 1}, ["Q"], 5, True])
+    def test_non_string_prompt_rejected(self, tmp_path, prompt):
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl(path, [{"id": "t1", "prompt": prompt, "answer": "4"}])
+        with pytest.raises(DatasetError, match="tasks.jsonl:1: 'prompt' must be a string"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["id", "answer"])
+    @pytest.mark.parametrize("value", [None, True, [7], {"v": 7}])
+    def test_non_scalar_id_or_answer_rejected(self, tmp_path, field, value):
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl(path, [{"id": "t1", "prompt": "Q", "answer": "4", field: value}])
+        with pytest.raises(DatasetError, match=f"tasks.jsonl:1: '{field}' must be a string or a number"):
+            load_dataset(path)
+
     def test_save_load_roundtrip(self, tmp_path):
         instances = [
             TaskInstance(id="a", prompt="P1\n", gold_answer="1"),
