@@ -79,9 +79,9 @@ class SequenceModel(ABC):
     flags it via `replayable`. `sample_index` is the ordinal of the draw
     within the caller's batch, for backends that stratify proposals.
 
-    The `rng` passed to each call is lent for that call only: draw from it
-    before returning and never keep it. The decode loop sets the same
-    generator to the next call's stream as soon as the call returns.
+    Each call gets its own `rng`, seeded for that call's named substream
+    and shared with no other call, so what a backend draws from one it kept
+    cannot change another call's draws.
 
     `uses_rng` declares whether the backend draws from `rng` at all. A
     backend that sets it False (the scripted one) is handed `rng=None` for

@@ -80,10 +80,6 @@ def phi_advantage(parent_quality: float, rollout_qualities: Sequence[float]) -> 
     return estimate_predictable_advantage(parent_quality, rollout_qualities).drift
 
 
-def _candidate_answer(candidate: Candidate, answer_pattern: str) -> Optional[str]:
-    return extract_answer("\n".join(candidate.rollout_texts), answer_pattern)
-
-
 def cluster_candidates(
     candidates: Sequence[Candidate],
     config: PhiConfig,
@@ -100,8 +96,13 @@ def cluster_candidates(
         raise PreconditionError("clustering requires >= 1 candidate")
     by_answer: dict[str, list[int]] = {}
     fallback: list[tuple[float, list[int]]] = []
+    # Candidates often share their rollout texts; extract each one's answer once.
+    answers: dict[tuple[str, ...], Optional[str]] = {}
     for index, candidate in enumerate(candidates):
-        answer = _candidate_answer(candidate, answer_pattern)
+        texts = candidate.rollout_texts
+        if texts not in answers:
+            answers[texts] = extract_answer("\n".join(texts), answer_pattern)
+        answer = answers[texts]
         if answer is not None:
             by_answer.setdefault(answer, []).append(index)
             continue

@@ -29,6 +29,11 @@ class TaskInstance:
     gold_answer: str
 
 
+def _reject_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
     """Validated instances in file order; errors carry line numbers."""
     instances: list[TaskInstance] = []
@@ -39,8 +44,8 @@ def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:  # JSONDecodeError, or NaN/Infinity
                 raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise DatasetError(f"{path}:{line_no}: not a JSON object: {line[:40]}")

@@ -21,19 +21,21 @@ Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
 a pure function of the config and the backend's replies. A step's propose
 and rollout keys are all known before its first backend call, so
-`expand_beam` derives their PCG64 states in one batch (`substream_states`)
-and sets one bit generator, local to the call, to each state in turn; each
-backend call draws exactly what `substream(seed, *key)` would give it. A
-backend that declares `uses_rng = False` (scripted replay) draws nothing,
-so `expand_beam` derives none of those streams and passes it `rng=None`;
-what it returns cannot depend on a stream. The step's select stream and
-each survivor's completion stream come from `substream` itself, for every
-backend.
+`expand_beam` runs SeedSequence's hash for all of them in one batch
+(`substream_words`) and hands each backend call a generator of its own,
+whose PCG64 seeds itself in C from that key's four words; each call draws
+exactly what `substream(seed, *key)` would give it, and a generator a
+backend keeps cannot touch the next call's draws. A backend that declares
+`uses_rng = False` (scripted replay) draws nothing, so `expand_beam`
+derives none of those streams and passes it `rng=None`; what it returns
+cannot depend on a stream. The step's select stream and each survivor's
+completion stream come from `substream` itself, for every backend.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections import Counter
@@ -84,16 +86,14 @@ def substream(seed: int, *fields: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, *fields]))
 
 
-# numpy's SeedSequence constants (pool of 4 uint32 words) and PCG64's 128-bit
-# multiplier. `substream_states` reproduces what SeedSequence and PCG64 do
-# with them, so its states equal the ones `substream` would build.
+# numpy's SeedSequence constants (pool of 4 uint32 words). `substream_words`
+# reproduces what SeedSequence does with them, so its words equal the ones
+# `substream` would seed PCG64 with.
 _POOL_SIZE = 4
 _XSHIFT = np.uint32(16)
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,23 +130,16 @@ def _mixed(into: np.ndarray, value: np.ndarray) -> np.ndarray:
     return out ^ (out >> _XSHIFT)
 
 
-def substream_states(seed: int, keys: Sequence[Sequence[int]]) -> list[dict]:
-    """The PCG64 state of `substream(seed, *key)` for every key, derived for
-    all keys at once.
+def substream_words(seed: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """The 4 uint64 words `SeedSequence(entropy=[seed, *key])` hands PCG64,
+    for every key at once: row i is `generate_state(4, np.uint64)` of key i.
 
     SeedSequence's entropy mixing runs over uint32 numpy lanes, one lane per
-    key; the resulting words seed PCG64 in Python ints. Each dict can be
-    assigned to `PCG64.state`; it clears the buffered 32-bit half, so a
-    reused bit generator draws exactly what a fresh substream would. All
-    keys must have the same length, and each field must fit in 32 bits.
+    key. All keys must have the same length, and each field must fit in 32
+    bits. `np.random.PCG64(_Words(row))` then seeds itself from a row in C.
     """
     fields = np.asarray(keys, dtype=np.uint32).reshape(len(keys), -1).T
-    seed_words = []
-    while True:
-        seed_words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     length = len(seed_words) + len(fields)
     entropy = np.zeros((max(length, _POOL_SIZE), len(keys)), dtype=np.uint32)
     entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
@@ -173,15 +166,22 @@ def substream_states(seed: int, keys: Sequence[Sequence[int]]) -> list[dict]:
     # little-endian into 4 uint64s.
     words = (pool[_OUTPUT_WORDS] ^ _OUTPUT_XOR) * _OUTPUT_MULT
     words ^= words >> _XSHIFT
-    states = []
-    for high, low, inc_high, inc_low in words.T.copy().view(np.uint64).tolist():
-        # pcg64_set_seed: inc = 2 * initseq + 1; state = 0, step, add the
-        # initial state, step.
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        state = (((high << 64 | low) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return words.T.copy().view(np.uint64)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One key's precomputed `substream_words` row, served as the seed
+    sequence PCG64 asks for: PCG64 reads exactly 4 uint64 words from it."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise PreconditionError(f"substream words serve 4 uint64s, not {n_words} {dtype}")
+        return self.words
 
 
 # The value types a config field accepts, by its annotation. A float field
@@ -462,25 +462,17 @@ def expand_beam(
     samples = range(config.rollout_samples)
     if model.uses_rng:
         # Every stream of the step, in the order the calls below use them:
-        # each candidate's proposal, then its rollouts. One bit generator is
-        # set to each stream's state in turn; the backend draws before it
-        # returns.
+        # each candidate's proposal, then its rollouts, one generator each.
         keys = []
         for path in live:
             for cand_index in range(config.rollouts_per_candidate):
                 keys.append((TAG_PROPOSE, step, path.path_id, cand_index, 0))
                 keys.extend((TAG_ROLLOUT, step, path.path_id, cand_index, s) for s in samples)
-        states = iter(substream_states(config.seed, keys))
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-
-        def next_stream() -> Optional[np.random.Generator]:
-            bit_generator.state = next(states)
-            return rng
+        streams = (np.random.Generator(np.random.PCG64(_Words(row)))
+                   for row in substream_words(config.seed, keys))
     else:
         # A backend that never draws gets no stream: a draw from None fails.
-        def next_stream() -> Optional[np.random.Generator]:
-            return None
+        streams = itertools.repeat(None)
 
     # Every backend call of the step comes before any quality is computed,
     # so a later TransportError wins over an earlier sample that cannot be
@@ -491,7 +483,7 @@ def expand_beam(
             try:
                 step_sample = model.propose_step(
                     path.prefix,
-                    next_stream(),
+                    next(streams),
                     max_tokens=config.max_step_tokens,
                     stop=config.step_delimiter,
                     sample_index=cand_index,
@@ -500,7 +492,7 @@ def expand_beam(
                 lookahead_prefix = path.prefix + step_sample.text
                 for _ in samples:
                     replies.append(
-                        model.rollout(lookahead_prefix, config.rollout_depth, next_stream())
+                        model.rollout(lookahead_prefix, config.rollout_depth, next(streams))
                     )
             except TransportError as exc:
                 raise TransportError(

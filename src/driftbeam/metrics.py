@@ -232,11 +232,13 @@ def compare_runs(a: RunMetrics, b: RunMetrics) -> Comparison:
 # -- report emission ----------------------------------------------------------
 
 _FORMATS = ("json", "markdown")
+# Built once: json.dumps with any option builds a new encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_json(payload) -> bytes:
     """One byte representation per value: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL.encode(payload).encode("utf-8")
 
 
 def _benchmark_columns(table: Mapping[str, Mapping[str, RunMetrics]]) -> list[str]:

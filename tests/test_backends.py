@@ -463,10 +463,10 @@ class TestScriptedDecode:
     def test_replay_derives_no_proposal_or_rollout_streams(self, monkeypatch):
         live, records = record_decode("mfs", self.CONFIG)
 
-        def no_states(*args):
-            raise AssertionError("substream_states called during replay")
+        def no_words(*args):
+            raise AssertionError("substream_words called during replay")
 
-        monkeypatch.setattr(engine, "substream_states", no_states)
+        monkeypatch.setattr(engine, "substream_words", no_words)
         replayed = decode_with("mfs", ScriptedModel(records), "Pick.\n", self.CONFIG)
         assert replayed.to_dict() == live.to_dict()
 

@@ -77,6 +77,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="tasks.jsonl:2: not a JSON object"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_rejected(self, tmp_path, constant):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text('{"id": "t1", "prompt": "Q", "answer": "4"}\n'
+                        f'{{"id": "t2", "prompt": "Q", "answer": {constant}}}\n')
+        with pytest.raises(DatasetError, match=f"tasks.jsonl:2: .*{constant} is not a JSON"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("prompt", [None, {"x": 1}, ["Q"], 5, True])
     def test_non_string_prompt_rejected(self, tmp_path, prompt):
         path = tmp_path / "tasks.jsonl"

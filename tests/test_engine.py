@@ -38,8 +38,9 @@ from driftbeam.engine import (
     score_candidates,
     select_beam,
     softmax_weights,
+    _Words,
     substream,
-    substream_states,
+    substream_words,
 )
 from driftbeam.metrics import canonical_json
 
@@ -162,12 +163,28 @@ def reference_state(seed, key):
     return np.random.PCG64(np.random.SeedSequence(entropy=[seed, *key])).state
 
 
+def reference_words(seed, key):
+    return np.random.SeedSequence(entropy=[seed, *key]).generate_state(4, np.uint64).tolist()
+
+
+def assert_words_match_seed_sequence(seed, keys):
+    words = substream_words(seed, keys)
+    assert words.tolist() == [reference_words(seed, k) for k in keys]
+    states = [np.random.PCG64(_Words(row)).state for row in words]
+    assert states == [reference_state(seed, k) for k in keys]
+
+
 seeds = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
     st.integers(0, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
 )
 fields = st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 2**32 - 1))
+
+
+def mixed_draws(rng):
+    return (rng.integers(7, size=3).tolist(), rng.normal(size=3).tolist(),
+            rng.integers(7, size=2).tolist())
 
 
 class TestSubstreamStates:
@@ -180,30 +197,26 @@ class TestSubstreamStates:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_seed_sequence(self, seed, keys):
-        assert substream_states(seed, keys) == [reference_state(seed, k) for k in keys]
+        assert_words_match_seed_sequence(seed, keys)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("width", [3, 6])
     def test_one_and_two_word_seeds_with_zero_fields(self, seed, width):
-        keys = [[0] * width, [2**32 - 1] * width, list(range(width))]
-        assert substream_states(seed, keys) == [reference_state(seed, k) for k in keys]
+        assert_words_match_seed_sequence(
+            seed, [[0] * width, [2**32 - 1] * width, list(range(width))])
 
-    def test_reused_generator_draws_like_a_fresh_substream(self):
+    def test_words_built_generator_draws_like_a_fresh_substream(self):
         seed = 2**63 + 5
         keys = [(TAG_PROPOSE, 1, 0, c, 0) for c in range(3)]
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        for key, state in zip(keys, substream_states(seed, keys)):
-            bit_generator.state = state
-            got = (rng.integers(7, size=3).tolist(), rng.normal(size=3).tolist(),
-                   rng.integers(7, size=2).tolist())
-            fresh = substream(seed, *key)
-            want = (fresh.integers(7, size=3).tolist(), fresh.normal(size=3).tolist(),
-                    fresh.integers(7, size=2).tolist())
-            assert got == want
-            # Small integers() draws leave a buffered 32-bit half behind,
-            # which the next assigned state must clear.
-            assert bit_generator.state["has_uint32"] == 1
+        for key, words in zip(keys, substream_words(seed, keys)):
+            rng = np.random.Generator(np.random.PCG64(_Words(words)))
+            # Small integers() draws buffer a 32-bit half between calls.
+            assert mixed_draws(rng) == mixed_draws(substream(seed, *key))
+
+    def test_words_serve_only_pcg64(self):
+        words = substream_words(3, [(TAG_PROPOSE, 1, 0, 0, 0)])[0]
+        with pytest.raises(PreconditionError, match="4 uint64s"):
+            np.random.MT19937(_Words(words))
 
 
 class DrawRecorder(SequenceModel):
@@ -224,6 +237,21 @@ class DrawRecorder(SequenceModel):
 
     def complete(self, prefix, max_tokens, rng):
         return self._sample("complete", prefix, rng)
+
+
+class KeepsEveryRng(DrawRecorder):
+    """Keeps each call's rng and draws from every kept one before it draws
+    from its own."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept = []
+
+    def _sample(self, kind, prefix, rng):
+        for old in self.kept:
+            old.normal(size=3)
+        self.kept.append(rng)
+        return super()._sample(kind, prefix, rng)
 
 
 class EmptyThenDown(DrawRecorder):
@@ -277,10 +305,10 @@ class TestUsesRng:
         assert all(rng is None for rng in model.rngs)
 
     def test_non_drawing_backend_derives_no_state(self, monkeypatch):
-        def no_states(*args):
-            raise AssertionError("substream_states called for a non-drawing backend")
+        def no_words(*args):
+            raise AssertionError("substream_words called for a non-drawing backend")
 
-        monkeypatch.setattr(engine, "substream_states", no_states)
+        monkeypatch.setattr(engine, "substream_words", no_words)
         candidates = expand_beam(NoDrawStub(), mk_beam([0.1, 0.2]), self.CONFIG)
         assert len(candidates) == 2 * 3
         with pytest.raises(AssertionError, match="non-drawing"):
@@ -303,6 +331,9 @@ class TestUsesRng:
 
 
 class TestExpand:
+    CONFIG = DecodeConfig(beam_size=2, rollouts_per_candidate=3, rollout_samples=2,
+                          seed=2**40 + 9)
+
     def test_transport_error_wins_over_an_earlier_unscorable_rollout(self):
         # Every backend call of a step comes before any quality is computed.
         cfg = DecodeConfig(beam_size=1, rollouts_per_candidate=2, seed=5)
@@ -311,20 +342,31 @@ class TestExpand:
             expand_beam(model, mk_beam([0.1]), cfg)
         assert [kind for kind, _, _ in model.draws] == ["propose", "rollout"]
 
-    def test_each_call_draws_from_its_own_substream(self):
-        cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=3, rollout_samples=2, seed=2**40 + 9)
-        beam = mk_beam([0.1, 0.2], step_index=4)
-        model = DrawRecorder()
-        expand_beam(model, beam, cfg)
+    def expected_draws(self, beam):
+        step = beam.step_index + 1
         want = []
         for path in beam.paths:
             for cand in range(3):
-                want.append(("propose", path.prefix,
-                             substream(cfg.seed, TAG_PROPOSE, 5, path.path_id, cand, 0).random()))
+                stream = substream(self.CONFIG.seed, TAG_PROPOSE, step, path.path_id, cand, 0)
+                want.append(("propose", path.prefix, stream.random()))
                 for sample in range(2):
-                    stream = substream(cfg.seed, TAG_ROLLOUT, 5, path.path_id, cand, sample)
+                    stream = substream(self.CONFIG.seed, TAG_ROLLOUT, step, path.path_id,
+                                       cand, sample)
                     want.append(("rollout", path.prefix + "x\n", stream.random()))
-        assert model.draws == want
+        return want
+
+    def test_each_call_draws_from_its_own_substream(self):
+        beam = mk_beam([0.1, 0.2], step_index=4)
+        model = DrawRecorder()
+        expand_beam(model, beam, self.CONFIG)
+        assert model.draws == self.expected_draws(beam)
+
+    def test_a_kept_generator_cannot_change_the_next_calls_draws(self):
+        beam = mk_beam([0.1, 0.2], step_index=4)
+        model = KeepsEveryRng()
+        expand_beam(model, beam, self.CONFIG)
+        assert model.draws == self.expected_draws(beam)
+        assert len({id(rng) for rng in model.kept}) == len(model.kept) == 2 * 3 * 3
 
     def test_budget_and_baseline(self, two_arm_model):
         cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=4, rollout_depth=4, seed=3)
