@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..errors import NumericInputError, PreconditionError, ProtocolError
-from ..process import finite_mean
 
 FINISH_DELIMITER = "delimiter"
 FINISH_LENGTH = "length"
@@ -33,30 +32,42 @@ def logprobs_from(values, where: str) -> tuple[float, ...]:
     naming `where`, never a TypeError or a silent coercion."""
     if not (isinstance(values, (list, tuple)) and _NUMBER_TYPES.issuperset(map(type, values))):
         raise ProtocolError(f"{where} must be a list of numbers, got {values!r:.80}")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an integer beyond the float range
+        raise ProtocolError(f"{where} holds an integer beyond the float range") from None
 
 
 @dataclass(frozen=True, slots=True)
 class StepSample:
-    """One backend emission: text plus per-token natural-log probabilities."""
+    """One backend emission: text plus per-token natural-log probabilities.
+    `quality`, their mean, is scored once here; it is None when there are no
+    tokens or their sum overflows, and `quality_of` names which."""
 
     text: str
     token_logprobs: tuple[float, ...]
     finish_reason: str
+    quality: Optional[float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.finish_reason not in FINISH_REASONS:
             raise PreconditionError(
                 f"finish_reason must be one of {FINISH_REASONS}, got {self.finish_reason!r}"
             )
+        lps = self.token_logprobs
+        try:
+            total = math.fsum(lps)
+        except (OverflowError, ValueError):  # finite terms overflowing, or inf - inf
+            total = math.inf
         # A finite sum proves every term finite (inf and nan propagate); only
         # a sum that is not finite, which finite terms can reach by
         # overflow, needs the per-token look that names the bad token.
-        if math.isfinite(sum(self.token_logprobs)):
-            return
-        for i, lp in enumerate(self.token_logprobs):
-            if not math.isfinite(lp):
-                raise NumericInputError(f"token_logprobs[{i}] must be finite, got {lp!r}")
+        if not math.isfinite(total):
+            for i, lp in enumerate(lps):
+                if not math.isfinite(lp):
+                    raise NumericInputError(f"token_logprobs[{i}] must be finite, got {lp!r}")
+        quality = total / len(lps) if lps and math.isfinite(total) else None
+        object.__setattr__(self, "quality", quality)
 
     @property
     def token_count(self) -> int:
@@ -65,10 +76,12 @@ class StepSample:
 
 def quality_of(sample: StepSample) -> float:
     """Mean per-token log-probability of a sample — the quality F of the
-    continuation it represents."""
-    if not sample.token_logprobs:
-        raise PreconditionError("cannot score a sample with no tokens")
-    return finite_mean(sample.token_logprobs, "token_logprobs")
+    continuation it represents, as the sample scored it when built."""
+    if sample.quality is None:
+        if not sample.token_logprobs:
+            raise PreconditionError("cannot score a sample with no tokens")
+        raise NumericInputError("token_logprobs sum overflows the float range")
+    return sample.quality
 
 
 class SequenceModel(ABC):

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import NumericInputError, PreconditionError, ProtocolError
 from .base import SequenceModel, StepSample, logprobs_from
 
 _SEP = "\x1f"
@@ -89,7 +89,10 @@ def parse_fixture(records: Iterable[dict]) -> Mapping[str, tuple[StepSample, ...
                 raise ProtocolError(
                     f"fixture record {index}: {field} must be a string, got {value!r:.80}"
                 )
-        sample = StepSample(text, logprobs_from(logprobs, "logprobs"), finish_reason)
+        try:
+            sample = StepSample(text, logprobs_from(logprobs, "logprobs"), finish_reason)
+        except (ProtocolError, NumericInputError, PreconditionError) as exc:
+            raise ProtocolError(f"fixture record {index}: {exc}") from exc
         queues.setdefault(prefix_hash, []).append(sample)
     return MappingProxyType({key: tuple(queue) for key, queue in queues.items()})
 

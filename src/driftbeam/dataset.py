@@ -10,6 +10,7 @@ the gold arm varies across the suite while everything stays seeded.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,9 +30,13 @@ class TaskInstance:
     gold_answer: str
 
 
-def _reject_constant(name: str):
-    """json's hook for NaN, Infinity and -Infinity, which JSON does not have."""
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_number(text: str) -> float:
+    """json's hook for NaN, Infinity and -Infinity, which JSON does not have,
+    and for numbers with a fraction or exponent, which can overflow a float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a JSON number within the float range")
+    return value
 
 
 def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
@@ -44,8 +49,9 @@ def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
             if not line:
                 continue
             try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as exc:  # JSONDecodeError, or NaN/Infinity
+                record = json.loads(line, parse_constant=_finite_number,
+                                    parse_float=_finite_number)
+            except ValueError as exc:  # JSONDecodeError, NaN/Infinity, or overflow
                 raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise DatasetError(f"{path}:{line_no}: not a JSON object: {line[:40]}")

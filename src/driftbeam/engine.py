@@ -34,6 +34,7 @@ completion stream come from `substream` itself, for every backend.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -415,29 +416,27 @@ def sample_without_replacement(
 ) -> list[int]:
     """k sequential weighted draws, renormalizing after each removal.
 
-    Draw order is fixed: target u * (remaining mass), then walk the
-    remaining items in original index order accumulating the running sum.
+    Draw order is fixed: target u * (remaining mass), then the first
+    remaining item, in index order, whose running sum exceeds it (the last
+    if none does). The sums are the same left-to-right additions a walk
+    makes, and the callers' weights are non-negative, so the sums are sorted
+    and `bisect_right` finds that item.
     """
     if k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
-    remaining = list(range(len(weights)))
+    masses = list(weights)
+    remaining = list(range(len(masses)))
     picks: list[int] = []
     while remaining and len(picks) < k:
-        masses = [weights[i] for i in remaining]
         total = math.fsum(masses)
         if total <= 0:
             picks.extend(remaining[: k - len(picks)])
             break
         target = rng.random() * total
-        acc = 0.0
-        chosen = remaining[-1]
-        for pos, index in enumerate(remaining):
-            acc += masses[pos]
-            if target < acc:
-                chosen = index
-                break
-        picks.append(chosen)
-        remaining.remove(chosen)
+        pos = min(bisect.bisect_right(list(itertools.accumulate(masses)), target),
+                  len(masses) - 1)
+        picks.append(remaining.pop(pos))
+        masses.pop(pos)
     return picks
 
 

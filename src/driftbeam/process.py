@@ -108,12 +108,21 @@ def estimate_predictable_advantage(
     rollout qualities as samples of the next value, the trend increment is
     estimated by their mean minus the previous quality. Only that mean is
     computed: the noise's spread is not.
+
+    Inputs are checked in one pass: a finite drift proves every input
+    finite. Only a drift that is not finite is looked at term by term.
     """
     if len(rollout_qualities) == 0:
         raise PreconditionError("rollout_qualities must be non-empty")
-    _check_finite(previous_quality, "previous_quality")
-    qualities = _check_all_finite(rollout_qualities, "rollout_qualities")
-    return DoobEstimate(drift=finite_mean(qualities, "rollout_qualities") - previous_quality)
+    try:
+        drift = math.fsum(rollout_qualities) / len(rollout_qualities) - previous_quality
+    except (OverflowError, ValueError):  # finite terms overflowing, or inf - inf
+        drift = math.inf
+    if not math.isfinite(drift):  # name the bad input or the overflow, if any
+        _check_finite(previous_quality, "previous_quality")
+        _check_all_finite(rollout_qualities, "rollout_qualities")
+        drift = finite_mean(rollout_qualities, "rollout_qualities") - previous_quality
+    return DoobEstimate(drift=drift)
 
 
 def deficit(best_quality: float, path_quality: float) -> float:

@@ -1,7 +1,9 @@
-"""Shared test fixtures: a small two-arm synthetic world and tmp helpers."""
+"""Shared test fixtures: a small two-arm synthetic world, tmp helpers and a
+strategy for JSON-shaped values."""
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from driftbeam import DecodeConfig
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
@@ -14,6 +16,16 @@ from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
+
+# JSON values as json.loads can return them, NaN and infinities included;
+# integers reach past the float range. For the boundary property tests.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
 
 # Populated by tests/test_acceptance.py; echoed after the run so the
 # acceptance verdicts survive output capture.

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values
 from driftbeam import DecodeConfig, NumericInputError, PreconditionError, ProtocolError, engine
 from driftbeam.backends import scripted
 from driftbeam.backends.base import (
@@ -61,8 +62,26 @@ class TestStepSample:
 
     def test_empty_sample_has_no_quality(self):
         empty = StepSample("", (), FINISH_EOS)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="cannot score a sample with no tokens"):
             quality_of(empty)
+
+    @given(st.lists(st.floats(-1e6, 0.0), min_size=1, max_size=32))
+    @settings(max_examples=200)
+    def test_quality_is_the_exactly_rounded_mean(self, lps):
+        sample = StepSample("x", tuple(lps), FINISH_LENGTH)
+        assert sample.quality == quality_of(sample) == math.fsum(lps) / len(lps)
+
+    def test_overflowing_sum_has_no_quality(self):
+        sample = StepSample("a b", (1e308, 1e308), FINISH_LENGTH)
+        with pytest.raises(NumericInputError,
+                           match="^token_logprobs sum overflows the float range$"):
+            quality_of(sample)
+
+    def test_quality_is_not_compared(self):
+        # Equal logprobs give equal qualities; the field is derived, not data.
+        assert StepSample("x", (-0.5,), FINISH_LENGTH) == StepSample("x", (-0.5,), FINISH_LENGTH)
+        with pytest.raises(TypeError):
+            StepSample("x", (-0.5,), FINISH_LENGTH, quality=0.0)
 
 
 class TestSyntheticTask:
@@ -365,6 +384,19 @@ class TestScripted:
                                match=f"fixture record 1: {field} must be a string"):
                 ScriptedModel(source)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("logprobs", "zz", "logprobs must be a list of numbers, got 'zz'"),
+        ("logprobs", [-0.1, float("nan")], "token_logprobs[1] must be finite, got nan"),
+        ("logprobs", [-(10 ** 400)], "logprobs holds an integer beyond the float range"),
+        ("finish_reason", "banana", "finish_reason must be one of"),
+    ])
+    def test_bad_sample_is_protocol_error_naming_its_record(self, field, value, message):
+        records = self._records()
+        records[1][field] = value
+        with pytest.raises(ProtocolError) as raised:
+            parse_fixture(records)
+        assert str(raised.value).startswith(f"fixture record 1: {message}")
+
     def test_parsed_queues_are_shared_with_cursors_of_their_own(self):
         queues = parse_fixture(self._records())
         assert queues[fixture_key("propose", "Q\n")] == (
@@ -377,6 +409,31 @@ class TestScripted:
         assert first.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step one\n"
         assert second.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step one\n"
         assert first.propose_step("Q\n", rng_for(0), max_tokens=8).text == "step two\n"
+
+
+# Records near the valid shape, so most examples reach the sample's own checks.
+fixture_records = st.fixed_dictionaries({}, optional={
+    "prefix_hash": st.text(max_size=4) | json_values,
+    "text": st.text(max_size=4) | json_values,
+    "logprobs": st.lists(st.floats() | st.integers(-(10 ** 400), 10 ** 400), max_size=4)
+    | json_values,
+    "finish_reason": st.sampled_from(("delimiter", "length", "end-of-sequence")) | json_values,
+})
+
+
+class TestFixtureBoundary:
+    @given(st.lists(fixture_records | json_values, max_size=3))
+    @example([{"prefix_hash": "h", "text": "t", "logprobs": [math.inf, -math.inf],
+               "finish_reason": "length"}])  # fsum raises ValueError on inf - inf
+    @settings(max_examples=300)
+    def test_any_json_records_load_or_are_a_protocol_error(self, records):
+        try:
+            queues = parse_fixture(records)
+        except ProtocolError:
+            return
+        for queue in queues.values():
+            for sample in queue:
+                assert sample.quality is None or math.isfinite(sample.quality)
 
 
 class TestRecording:

@@ -1,9 +1,15 @@
 """Dataset ingestion and synthetic-suite generation tests."""
 
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import json_values
 from driftbeam import DatasetError, TaskInstance, load_dataset, save_dataset
 from driftbeam.backends.synthetic import SyntheticTask
 from driftbeam.dataset import (
@@ -100,6 +106,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"tasks.jsonl:1: '{field}' must be a string or a number"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("number", ["1e999", "-1e999", "1.5e400"])
+    @pytest.mark.parametrize("field", ["id", "answer"])
+    def test_number_overflowing_a_float_rejected(self, tmp_path, field, number):
+        path = tmp_path / "tasks.jsonl"
+        other = "answer" if field == "id" else "id"
+        path.write_text('{"id": "t1", "prompt": "Q", "answer": "4"}\n'
+                        f'{{"{field}": {number}, "prompt": "Q", "{other}": "t2"}}\n')
+        message = f"{number} is not a JSON number within the float range"
+        with pytest.raises(DatasetError, match=f"tasks.jsonl:2: invalid JSON \\({message}\\)"):
+            load_dataset(path)
+
+    def test_large_finite_numbers_load(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text('{"id": 1e308, "prompt": "Q", "answer": 12345678901234567890}\n')
+        inst = load_dataset(path)[0]
+        assert inst.id == "1e+308" and inst.gold_answer == "12345678901234567890"
+
     def test_save_load_roundtrip(self, tmp_path):
         instances = [
             TaskInstance(id="a", prompt="P1\n", gold_answer="1"),
@@ -159,3 +182,36 @@ class TestSyntheticSuite:
         t1 = synthetic_instance_task(base, 0, 1)
         assert t0.drifts == t0_again.drifts
         assert sorted(t1.drifts) == sorted(base.drifts)
+
+
+dataset_records = st.fixed_dictionaries({}, optional={
+    "id": st.text(max_size=4) | json_values,
+    "prompt": st.text(max_size=4) | json_values,
+    "answer": st.text(max_size=4) | json_values,
+})
+# A number literal json.dumps cannot write: one that overflows a float.
+overflowing = st.sampled_from(["1e999", "-1e999", "2.5E+400"])
+
+
+class TestLoadDatasetBoundary:
+    @given(
+        record=dataset_records | json_values,
+        literal=st.none() | overflowing,
+    )
+    @settings(max_examples=300)
+    def test_any_json_line_loads_or_is_a_dataset_error(self, tmp_path_factory, record, literal):
+        line = json.dumps(record)
+        if literal is not None and isinstance(record, dict) and record:
+            line = json.dumps({**record, next(iter(record)): "@"}).replace('"@"', literal, 1)
+        # A new file each time: truncating one to rewrite it can be slow.
+        fd, path = tempfile.mkstemp(suffix=".jsonl", dir=tmp_path_factory.getbasetemp())
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                instances = load_dataset(path)
+            except DatasetError:
+                return
+        (instance,) = instances
+        assert isinstance(instance.prompt, str)

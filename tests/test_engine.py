@@ -158,6 +158,48 @@ class TestSampleWithoutReplacement:
             picks = sample_without_replacement([0.0, 1.0, 0.0], 1, substream(trial, 4, 4))
             assert picks == [1]
 
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_same_picks_and_draws_as_the_linear_walk(self, data):
+        n = data.draw(st.integers(0, 12), label="n")
+        masses = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 1.0]), st.floats(0.0, 1.0))
+        weights = data.draw(st.one_of(
+            st.lists(masses, min_size=n, max_size=n),  # zeros and ties
+            st.just([1.0 / n] * n if n else []),  # uniform
+            st.just([0.0] * n),  # all zero
+            st.lists(st.floats(-50.0, 50.0), min_size=max(n, 1), max_size=max(n, 1))
+            .map(lambda scores: softmax_weights(scores, 0.7)),
+        ), label="weights")
+        k = data.draw(st.integers(0, len(weights) + 2), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        fast, slow = substream(seed, 4, 6), substream(seed, 4, 6)
+        assert sample_without_replacement(weights, k, fast) == linear_walk(weights, k, slow)
+        assert fast.random() == slow.random()  # both drew the same number of times
+
+
+def linear_walk(weights, k, rng):
+    """sample_without_replacement as a walk over the remaining items, adding
+    one mass at a time: the reference its prefix-sum search must match."""
+    remaining = list(range(len(weights)))
+    picks = []
+    while remaining and len(picks) < k:
+        masses = [weights[i] for i in remaining]
+        total = math.fsum(masses)
+        if total <= 0:
+            picks.extend(remaining[: k - len(picks)])
+            break
+        target = rng.random() * total
+        acc = 0.0
+        chosen = remaining[-1]
+        for pos, index in enumerate(remaining):
+            acc += masses[pos]
+            if target < acc:
+                chosen = index
+                break
+        picks.append(chosen)
+        remaining.remove(chosen)
+    return picks
+
 
 def reference_state(seed, key):
     return np.random.PCG64(np.random.SeedSequence(entropy=[seed, *key])).state

@@ -61,6 +61,26 @@ class TestDriftEstimate:
         with pytest.raises(NumericInputError):
             estimate_predictable_advantage(0.0, [0.1, float("inf")])
 
+    @pytest.mark.parametrize("previous, qualities, message", [
+        (float("nan"), [0.1], "previous_quality must be finite, got nan"),
+        (float("-inf"), [float("inf")], "previous_quality must be finite, got -inf"),
+        (0.0, [0.1, float("inf")], r"rollout_qualities\[1\] must be finite, got inf"),
+        (0.0, [float("inf"), float("-inf")], r"rollout_qualities\[0\] must be finite, got inf"),
+        (0.0, [-0.5, float("nan")], r"rollout_qualities\[1\] must be finite, got nan"),
+        (0.0, [-1e308, -1e308], "rollout_qualities sum overflows the float range"),
+    ])
+    def test_bad_input_is_named(self, previous, qualities, message):
+        with pytest.raises(NumericInputError, match=f"^{message}$"):
+            estimate_predictable_advantage(previous, qualities)
+
+    def test_finite_inputs_whose_drift_overflows_give_infinity(self):
+        assert estimate_predictable_advantage(-1e308, [1e308]).drift == math.inf
+
+    @given(prev=finite, qs=st.lists(finite, min_size=1, max_size=16))
+    def test_drift_is_the_exactly_rounded_mean_minus_previous(self, prev, qs):
+        est = estimate_predictable_advantage(prev, qs)
+        assert est.drift == math.fsum(qs) / len(qs) - prev
+
     @given(prev=finite, qs=st.lists(finite, min_size=1, max_size=16))
     def test_drift_shift_identity(self, prev, qs):
         # Shifting every input by c shifts the mean by c, leaving drift fixed.

@@ -512,7 +512,8 @@ class TestExecuteRun:
         assert output.metrics.total == 0
         assert [tid for tid, _ in output.failures] == ["t1", "t2"]
         for _, message in output.failures:
-            assert message.startswith("ProtocolError: logprobs must be a list of numbers")
+            assert message.startswith(
+                "ProtocolError: fixture record 1: logprobs must be a list of numbers")
 
     def test_non_object_fixture_line_fails_each_task_not_the_run(self, tmp_path):
         dataset_path = tmp_path / "tasks.jsonl"
