@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ..errors import NumericInputError, PreconditionError, ProtocolError
+from ..metrics import read_json_lines
 from .base import SequenceModel, StepSample, logprobs_from
 
 _SEP = "\x1f"
@@ -54,21 +55,13 @@ def _record(kind: str, prefix: str, sample: StepSample) -> dict:
 
 def load_fixture(path: Union[str, Path]) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise ProtocolError(f"{path}:{line_no}: not a JSON object")
-            for field in ("prefix_hash", "text", "logprobs", "finish_reason"):
-                if field not in record:
-                    raise ProtocolError(f"{path}:{line_no}: missing field {field!r}")
-            records.append(record)
+    for line_no, _, record in read_json_lines(path, ProtocolError):
+        if not isinstance(record, dict):
+            raise ProtocolError(f"{path}:{line_no}: not a JSON object")
+        for field in ("prefix_hash", "text", "logprobs", "finish_reason"):
+            if field not in record:
+                raise ProtocolError(f"{path}:{line_no}: missing field {field!r}")
+        records.append(record)
     return records
 
 

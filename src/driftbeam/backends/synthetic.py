@@ -21,6 +21,7 @@ length of its logprob list.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass
@@ -56,8 +57,10 @@ class SyntheticTask:
             raise PreconditionError(f"arm_count must be in [1, 26], got {self.arm_count}")
         if len(self.drifts) != self.arm_count:
             raise PreconditionError("drifts length must equal arm_count")
-        if self.noise_std < 0:
-            raise PreconditionError("noise_std must be >= 0")
+        if not all(math.isfinite(d) for d in self.drifts):
+            raise PreconditionError(f"drifts must be finite, got {self.drifts}")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise PreconditionError(f"noise_std must be finite >= 0, got {self.noise_std}")
         if self.horizon < 1:
             raise PreconditionError("horizon must be >= 1")
         best = max(self.drifts)

@@ -23,8 +23,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
 from .baselines import COMBINE_MODES
 from .engine import SELECTIONS, parse_epsilon
 from .errors import DriftbeamError, PreconditionError
@@ -37,6 +35,7 @@ from .runner import (
     RunConfig,
     decode_with,
     execute_run,
+    load_config_file,
     parse_config,
     sweep,
 )
@@ -92,12 +91,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle) or {}
-        if not isinstance(raw, dict):
-            raise PreconditionError("config root must be a mapping")
+    raw = load_config_file(args.config) if args.config else {}
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if section:
@@ -127,13 +121,13 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     model = config.backend.make_model()
     decode_cfg = config.decode.replace(seed=config.seed)
     result = decode_with(config.method, model, prompt, decode_cfg, config.phi)
-    payload = result.to_dict()
     if args.trace:
         with open(args.trace, "wb") as handle:
-            for event in payload["trace"]:
-                handle.write(canonical_json(event) + b"\n")
-        del payload["trace"]
-    sys.stdout.buffer.write(canonical_json(payload) + b"\n")
+            handle.writelines(event + b"\n" for event in result.trace_json)
+        payload = canonical_json(result.summary())
+    else:
+        payload = result.to_json()
+    sys.stdout.buffer.write(payload + b"\n")
     return 0
 
 

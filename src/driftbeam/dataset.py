@@ -21,6 +21,7 @@ import numpy as np
 from .backends.synthetic import SyntheticTask
 from .engine import TAG_TASK
 from .errors import DatasetError
+from .metrics import read_json_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,39 +44,33 @@ def load_dataset(path: Union[str, Path]) -> list[TaskInstance]:
     """Validated instances in file order; errors carry line numbers."""
     instances: list[TaskInstance] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_finite_number,
-                                    parse_float=_finite_number)
-            except ValueError as exc:  # JSONDecodeError, NaN/Infinity, or overflow
-                raise DatasetError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{line_no}: not a JSON object: {line[:40]}")
-            for field in ("id", "prompt", "answer"):
-                if field not in record:
-                    raise DatasetError(f"{path}:{line_no}: missing field {field!r}")
-                value = record[field]  # a numeric id or answer is read as its string
-                numeric = type(value) in (int, float)  # so a bool is no number here
-                if not (isinstance(value, str) or (numeric and field != "prompt")):
-                    kind = "a string" if field == "prompt" else "a string or a number"
-                    raise DatasetError(
-                        f"{path}:{line_no}: {field!r} must be {kind}, got {json.dumps(value)}"
-                    )
-            task_id = str(record["id"])
-            if task_id in seen:
-                raise DatasetError(f"{path}:{line_no}: duplicate id {task_id!r}")
-            seen.add(task_id)
-            instances.append(
-                TaskInstance(
-                    id=task_id,
-                    prompt=record["prompt"],
-                    gold_answer=str(record["answer"]),
+    # NaN/Infinity and float overflow are rejected as invalid JSON.
+    for line_no, line, record in read_json_lines(path, DatasetError,
+                                                 parse_constant=_finite_number,
+                                                 parse_float=_finite_number):
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{line_no}: not a JSON object: {line[:40]}")
+        for field in ("id", "prompt", "answer"):
+            if field not in record:
+                raise DatasetError(f"{path}:{line_no}: missing field {field!r}")
+            value = record[field]  # a numeric id or answer is read as its string
+            numeric = type(value) in (int, float)  # so a bool is no number here
+            if not (isinstance(value, str) or (numeric and field != "prompt")):
+                kind = "a string" if field == "prompt" else "a string or a number"
+                raise DatasetError(
+                    f"{path}:{line_no}: {field!r} must be {kind}, got {json.dumps(value)}"
                 )
+        task_id = str(record["id"])
+        if task_id in seen:
+            raise DatasetError(f"{path}:{line_no}: duplicate id {task_id!r}")
+        seen.add(task_id)
+        instances.append(
+            TaskInstance(
+                id=task_id,
+                prompt=record["prompt"],
+                gold_answer=str(record["answer"]),
             )
+        )
     if not instances:
         warnings.warn(f"dataset {path} is empty", stacklevel=2)
     return instances

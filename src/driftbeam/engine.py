@@ -14,8 +14,10 @@ step's selection still lands in the beam). The method's own stop rule
 comes first; `run_loop` applies the max_steps cap when that rule does not
 fire. Every decode, the baselines' included, ends in `finalize`, which
 writes the `stop` and `finalize` events. Every intermediate quantity is
-emitted on an append-only trace (one JSON-ready dict per event) so runs can
-be audited or re-plotted without rerunning the model.
+emitted on an append-only trace so runs can be audited or re-plotted
+without rerunning the model. Each event is built as a dict and encoded to
+canonical JSON bytes (`metrics.canonical_json`) in the step that emits it,
+so a decode holds bytes and no event dict outlives its step.
 
 Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
@@ -37,6 +39,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 import math
 import re
 from collections import Counter
@@ -56,6 +59,7 @@ from .errors import (
     PreconditionError,
     TransportError,
 )
+from .metrics import canonical_json
 from .process import (
     AdaptiveThreshold,
     adaptive_threshold,
@@ -346,6 +350,7 @@ class BeamState:
     tokens_generated: int = 0
     rollout_tokens: int = 0
     next_path_id: int = 1
+    prune_count: int = 0
 
     @classmethod
     def initial(cls, task_prompt: str) -> "BeamState":
@@ -358,16 +363,25 @@ class BeamState:
 
 @dataclass(frozen=True, slots=True)
 class DecodeResult:
+    """One decode's outcome; its trace is each event's canonical JSON bytes.
+    `prune_count`, the paths pruned over the decode, is not serialized."""
+
     final_answer: str
     per_path_answers: tuple[tuple[int, str], ...]
-    trace: tuple[dict, ...]
+    trace_json: tuple[bytes, ...]
     tokens_generated: int
     rollout_tokens: int
     stop_reason: str
     stop_step: int
     flagged: bool
+    prune_count: int = 0
 
-    def to_dict(self) -> dict:
+    @property
+    def trace(self) -> tuple[dict, ...]:
+        return tuple(json.loads(event) for event in self.trace_json)
+
+    def summary(self) -> dict:
+        """Every serialized field but the trace."""
         return {
             "final_answer": self.final_answer,
             "flagged": self.flagged,
@@ -376,8 +390,16 @@ class DecodeResult:
             "stop_reason": self.stop_reason,
             "stop_step": self.stop_step,
             "tokens_generated": self.tokens_generated,
-            "trace": list(self.trace),
         }
+
+    def to_dict(self) -> dict:
+        return {**self.summary(), "trace": list(self.trace)}
+
+    def to_json(self) -> bytes:
+        """`canonical_json(self.to_dict())`, with the stored events spliced
+        in as "trace", the last key in sorted order."""
+        head = canonical_json(self.summary())
+        return head[:-1] + b',"trace":[' + b",".join(self.trace_json) + b"]}"
 
 
 # -- answer extraction -------------------------------------------------------
@@ -645,11 +667,12 @@ def finalize(
     *,
     task_prompt: str,
     method: str,
-    trace: list[dict],
+    trace: list[bytes],
 ) -> DecodeResult:
     """End a decode: write the stop event, complete the surviving paths
     autoregressively, majority-vote their answers and write the finalize
-    event.
+    event. Like `run_loop`, it appends each event to `trace` as canonical
+    JSON bytes; the result holds those bytes and the beam's prune count.
 
     Votes are over raw extracted strings; ties break to the answer whose
     earliest supporting path has the lowest path id. Paths yielding no
@@ -657,12 +680,12 @@ def finalize(
     raising.
     """
     stop_reason = beam.stop_reason or STOP_EXHAUSTED
-    trace.append({
+    trace.append(canonical_json({
         "event": "stop",
         "method": method,
         "step": beam.step_index,
         "reason": stop_reason,
-    })
+    }))
     completions: list[tuple[int, Optional[str]]] = []
     answered: list[tuple[int, str]] = []
     for path in beam.paths:
@@ -686,23 +709,24 @@ def finalize(
         final_answer = ""
         flagged = True
 
-    trace.append({
+    trace.append(canonical_json({
         "event": "finalize",
         "method": method,
         "step": beam.step_index,
-        "completions": [[pid, ans] for pid, ans in completions],
+        "completions": completions,
         "final_answer": final_answer,
         "flagged": flagged,
-    })
+    }))
     return DecodeResult(
         final_answer=final_answer,
         per_path_answers=tuple(answered),
-        trace=tuple(trace),
+        trace_json=tuple(trace),
         tokens_generated=beam.tokens_generated,
         rollout_tokens=beam.rollout_tokens,
         stop_reason=stop_reason,
         stop_step=beam.step_index,
         flagged=flagged,
+        prune_count=beam.prune_count,
     )
 
 
@@ -732,13 +756,13 @@ def run_loop(
     """
     model = model.fresh()
     beam = BeamState.initial(task_prompt)
-    trace: list[dict] = []
+    trace: list[bytes] = []
     while True:
         if not beam.live_paths():
             break
         step = beam.step_index + 1
         candidates = expand_beam(model, beam, config)
-        trace.append({
+        trace.append(canonical_json({
             "event": "expand",
             "method": method,
             "step": step,
@@ -749,19 +773,20 @@ def run_loop(
                     "text": c.step_text,
                     "tokens": c.step_tokens,
                     "finish": c.finish_reason,
-                    "qualities": list(c.rollout_qualities),
+                    "qualities": c.rollout_qualities,
                 }
                 for c in candidates
             ],
-        })
+        }))
         scores, score_fields, reason = judge(candidates, beam)
         if reason is None and step >= config.max_steps:
             reason = STOP_MAX_STEPS
-        trace.append({"event": "score", "method": method, "step": step, **score_fields})
+        trace.append(canonical_json(
+            {"event": "score", "method": method, "step": step, **score_fields}))
         selections = select_beam(
             candidates, scores, beam, config, substream(config.seed, TAG_SELECT, step)
         )
-        trace.append({
+        trace.append(canonical_json({
             "event": "select",
             "method": method,
             "step": step,
@@ -776,10 +801,11 @@ def run_loop(
                 }
                 for child, cand, weight in selections
             ],
-        })
+        }))
         if prune:
             threshold, deficits, pruned = prune_beam(beam, config)
-            trace.append({
+            beam.prune_count += len(pruned)
+            trace.append(canonical_json({
                 "event": "prune",
                 "method": method,
                 "step": step,
@@ -789,9 +815,9 @@ def run_loop(
                     "lambda1": threshold.lambda1,
                     "value": threshold.value,
                 },
-                "deficits": [[pid, d] for pid, d in deficits],
+                "deficits": deficits,
                 "pruned": pruned,
-            })
+            }))
         if reason is not None:
             beam.stop_reason = reason
             break

@@ -23,9 +23,10 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, InvalidOperation
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterator, Mapping, Sequence, Union
 
-from .errors import DatasetError, PreconditionError
+from .errors import DatasetError, DriftbeamError, PreconditionError
 
 _NUMERIC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _COMMA_NUMBER_RE = re.compile(r"[+-]?\d{1,3}(,\d{3})+(\.\d+)?")
@@ -239,6 +240,26 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circu
 def canonical_json(payload) -> bytes:
     """One byte representation per value: sorted keys, no whitespace."""
     return _CANONICAL.encode(payload).encode("utf-8")
+
+
+def read_json_lines(
+    path: Union[str, Path], error: type[DriftbeamError], **options
+) -> Iterator[tuple[int, str, object]]:
+    """(line number, text, value) of each non-blank line of a JSONL file,
+    numbered as a text-mode read numbers them, parsed by `json.loads(line,
+    **options)`. A line that is not UTF-8 or not JSON, nests too deeply or
+    fails a parse hook raises `error` naming `path:line`."""
+    with open(path, "rb") as handle:
+        lines = (part for chunk in handle for part in chunk.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                value = json.loads(line, **options)
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+                raise error(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            yield line_no, line, value
 
 
 def _benchmark_columns(table: Mapping[str, Mapping[str, RunMetrics]]) -> list[str]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -117,6 +118,11 @@ class BackendSpec:
                     f"backend drifts must be a list of numbers, got {self.drifts!r}"
                 )
             object.__setattr__(self, "drifts", tuple(float(d) for d in self.drifts))
+        for name, values in (("drift", (self.drift,)), ("noise_std", (self.noise_std,)),
+                             ("drifts", self.drifts or ())):
+            if not all(map(math.isfinite, values)):
+                raise PreconditionError(
+                    f"backend {name} must be finite, got {getattr(self, name)!r}")
         if self.model_params <= 0:
             raise PreconditionError("model_params must be > 0")
         if self.kind == "scripted" and not self.fixture:
@@ -209,6 +215,21 @@ def _check_keys(section: Mapping, cls: type, where: str) -> None:
         raise PreconditionError(f"unknown {where} keys: {unknown}")
 
 
+def load_config_file(path: Union[str, Path]) -> dict:
+    """The mapping a YAML config file holds, {} for an empty file. A file
+    that is not UTF-8 or not YAML is a PreconditionError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = yaml.safe_load(handle)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"config {path}: {exc}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise PreconditionError("config root must be a mapping")
+    return raw
+
+
 def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     """Build a RunConfig from a YAML file or an equivalent mapping.
 
@@ -218,15 +239,7 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     from the run seed, so a `seed` key inside the decode section is
     rejected.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
-    else:
-        raw = dict(source)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, Mapping):
-        raise PreconditionError("config root must be a mapping")
+    raw = load_config_file(source) if isinstance(source, (str, Path)) else dict(source)
     _check_keys(raw, RunConfig, "config")
     for section in ("backend", "decode", "phi", "grid"):
         if raw.get(section) is not None and not isinstance(raw[section], Mapping):
@@ -372,7 +385,7 @@ def _decode_one(
 class RunOutput:
     metrics: RunMetrics
     failures: tuple[tuple[str, str], ...]
-    traces: tuple[tuple[str, dict], ...]
+    traces: tuple[tuple[str, DecodeResult], ...]
 
 
 def _dataset_label(config: RunConfig) -> str:
@@ -411,7 +424,7 @@ def execute_run(
     by_id = {instance.id: instance for instance, _ in pairs}
     examples: list[PerExample] = []
     failures: list[tuple[str, str]] = []
-    traces: list[tuple[str, dict]] = []
+    traces: list[tuple[str, DecodeResult]] = []
     for task_id, outcome in sorted(outcomes, key=lambda pair: pair[0]):
         if isinstance(outcome, Exception):
             failures.append((task_id, f"{type(outcome).__name__}: {outcome}"))
@@ -419,11 +432,6 @@ def execute_run(
         tokens = outcome.tokens_generated
         if not config.count_rollout_tokens:
             tokens -= outcome.rollout_tokens
-        prune_count = sum(
-            len(event.get("pruned", ()))
-            for event in outcome.trace
-            if event.get("event") == "prune"
-        )
         examples.append(
             PerExample(
                 task_id=task_id,
@@ -431,10 +439,10 @@ def execute_run(
                 gold=by_id[task_id].gold_answer,
                 tokens=tokens,
                 stop_step=outcome.stop_step,
-                prune_count=prune_count,
+                prune_count=outcome.prune_count,
             )
         )
-        traces.append((task_id, outcome.to_dict()))
+        traces.append((task_id, outcome))
 
     metrics = RunMetrics.from_examples(examples, config.backend.model_params)
     output = RunOutput(metrics=metrics, failures=tuple(failures), traces=tuple(traces))
@@ -461,8 +469,9 @@ def write_outputs(config: RunConfig, output: RunOutput, *, label: Optional[str] 
         "failures": [[tid, msg] for tid, msg in output.failures],
         "metrics": output.metrics.to_dict(),
     }))
+    # Each line is canonical_json({"result": result.to_dict(), "task": task_id}).
     _write_new(out_dir / f"{prefix}traces.jsonl", b"".join(
-        canonical_json({"result": result, "task": task_id}) + b"\n"
+        b'{"result":' + result.to_json() + b',"task":' + canonical_json(task_id) + b"}\n"
         for task_id, result in output.traces
     ))
     table = {config.method: {_dataset_label(config): output.metrics}}

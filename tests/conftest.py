@@ -1,12 +1,15 @@
 """Shared test fixtures: a small two-arm synthetic world, tmp helpers and a
 strategy for JSON-shaped values."""
 
+import json
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from driftbeam import DecodeConfig
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
+from driftbeam.metrics import canonical_json
 
 # The property tests draw the same examples on every run, so one turns red
 # on the change that broke it rather than by chance; `pytest
@@ -61,3 +64,19 @@ def small_config() -> DecodeConfig:
         epsilon_stop=1e-6,
         seed=7,
     )
+
+
+def _check_trace_encoding(result) -> None:
+    """A DecodeResult holds each trace event in canonical form, encodes to
+    the bytes of canonical_json(to_dict()), and counts its prunes."""
+    assert result.trace_json
+    for event in result.trace_json:
+        assert event == canonical_json(json.loads(event))
+    assert result.to_json() == canonical_json(result.to_dict())
+    assert result.prune_count == sum(
+        len(e["pruned"]) for e in result.trace if e["event"] == "prune")
+
+
+@pytest.fixture
+def check_trace_encoding():
+    return _check_trace_encoding

@@ -106,6 +106,16 @@ class TestSyntheticTask:
             two = SyntheticTask.two_arm()
             two.permuted([0, 0])
 
+    @pytest.mark.parametrize("drifts, noise_std, message", [
+        ((math.nan, 0.1), 0.1, "drifts must be finite"),
+        ((0.1, -math.inf), 0.1, "drifts must be finite"),
+        ((0.1, -0.1), math.nan, "noise_std must be finite >= 0"),
+        ((0.1, -0.1), math.inf, "noise_std must be finite >= 0"),
+    ])
+    def test_non_finite_world_rejected(self, drifts, noise_std, message):
+        with pytest.raises(PreconditionError, match=message):
+            SyntheticTask(arm_count=2, drifts=drifts, noise_std=noise_std, horizon=4)
+
 
 class TestSyntheticModel:
     def test_root_proposals_stratify(self, two_arm_model):

@@ -195,6 +195,16 @@ class TestDecode:
         assert json.loads(err) == {"error": "PreconditionError",
                                    "message": "config root must be a mapping"}
 
+    @pytest.mark.parametrize("argv", [["decode", "--prompt", "x"], ["bench"]])
+    def test_malformed_yaml_config_is_error_record(self, capfd, tmp_path, argv):
+        config_path = tmp_path / "bad.yaml"
+        config_path.write_text("a: [\n")
+        code, out, err = run_cli(capfd, *argv, "--config", str(config_path))
+        record = json.loads(err)
+        assert code == 1 and out == ""
+        assert record["error"] == "PreconditionError"
+        assert record["message"].startswith(f"config {config_path}: ")
+
     @pytest.mark.parametrize("value", ["3", "[1]"])
     @pytest.mark.parametrize("section,flag", [
         ("backend", ["--arms", "2"]),

@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_values
-from driftbeam import DatasetError, TaskInstance, load_dataset, save_dataset
+from driftbeam import DatasetError, ProtocolError, TaskInstance, load_dataset, save_dataset
+from driftbeam.backends.scripted import load_fixture
 from driftbeam.backends.synthetic import SyntheticTask
 from driftbeam.dataset import (
     is_synthetic_name,
@@ -215,3 +217,51 @@ class TestLoadDatasetBoundary:
                 return
         (instance,) = instances
         assert isinstance(instance.prompt, str)
+
+
+# Raw file lines: arbitrary bytes, JSON-shaped values, dataset-shaped records,
+# and lines that are not UTF-8 or that nest past the recursion limit.
+raw_lines = (
+    st.binary(max_size=24)
+    | (dataset_records | json_values).map(lambda value: json.dumps(value).encode())
+    | st.sampled_from([b"\xff", b'{"id": "\xc3"}', b"[" * 100_000, b'{"a":' * 100_000])
+)
+
+
+class TestRawLinesBoundary:
+    @pytest.mark.parametrize("load, error", [(load_dataset, DatasetError),
+                                             (load_fixture, ProtocolError)])
+    @given(lines=st.lists(raw_lines, min_size=1, max_size=3))
+    @settings(max_examples=200)
+    @example(lines=[b"\xff"])
+    @example(lines=[b"[" * 100_000])
+    def test_any_byte_line_loads_or_is_the_named_error(self, tmp_path_factory, load, error,
+                                                       lines):
+        fd, path = tempfile.mkstemp(suffix=".jsonl", dir=tmp_path_factory.getbasetemp())
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(b"\n".join(lines) + b"\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                load(path)
+            except error as exc:
+                assert str(exc).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("load, error", [(load_dataset, DatasetError),
+                                             (load_fixture, ProtocolError)])
+    @pytest.mark.parametrize("line, message", [
+        (b'{"id": "\xff"}', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "deep"])
+    def test_undecodable_line_names_its_line(self, tmp_path, load, error, line, message):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"\n \n" + line + b"\n")
+        with pytest.raises(error, match=re.escape(f"data.jsonl:3: {message}")):
+            load(path)
+
+    def test_lines_numbered_as_text_mode_numbers_them(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_bytes(b'{"id": "a", "prompt": "Q", "answer": "1"}\r\n'
+                         b'{"id": "b", "prompt": "Q", "answer": "2"}\r7\n')
+        with pytest.raises(DatasetError, match="tasks.jsonl:3: not a JSON object"):
+            load_dataset(path)

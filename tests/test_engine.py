@@ -42,7 +42,9 @@ from driftbeam.engine import (
     substream,
     substream_words,
 )
+from driftbeam.baselines import PhiConfig
 from driftbeam.metrics import canonical_json
+from driftbeam.runner import decode_with
 
 
 def mk_candidate(parent=0, index=0, quality=0.0, text="step\n",
@@ -659,10 +661,10 @@ class TestFinalize:
     def test_finalize_emits_trace_event(self):
         model = self._scripted_completer({1: "4"})
         beam = self._beam([1])
-        trace = []
-        finalize(model, beam, DecodeConfig(), task_prompt="T\n", method="mfs", trace=trace)
-        assert trace[-1]["event"] == "finalize"
-        assert trace[-1]["completions"] == [[1, "4"]]
+        result = finalize(model, beam, DecodeConfig(), task_prompt="T\n", method="mfs",
+                          trace=[])
+        assert result.trace[-1]["event"] == "finalize"
+        assert result.trace[-1]["completions"] == [[1, "4"]]
 
 
 class TestDecodeEndToEnd:
@@ -754,6 +756,18 @@ class TestDecodeEndToEnd:
         a = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)
         b = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)
         assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+
+    @pytest.mark.parametrize("method", ["mfs", "phi", "ar-cot"])
+    def test_trace_stored_as_canonical_bytes(self, two_arm_task, method,
+                                             check_trace_encoding):
+        cfg = DecodeConfig(beam_size=4, rollouts_per_candidate=4, rollout_depth=5,
+                           max_steps=10, seed=1)
+        result = decode_with(method, SyntheticModel(two_arm_task), "Pick the best arm.\n",
+                             cfg, PhiConfig(delta=0.9) if method == "phi" else None)
+        check_trace_encoding(result)
+        assert all(type(event) is bytes for event in result.trace_json)
+        if method == "mfs":
+            assert result.prune_count >= 3  # the seed prunes, so the count has teeth
 
     def test_to_dict_shape(self, two_arm_task, small_config):
         result = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)

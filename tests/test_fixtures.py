@@ -32,6 +32,12 @@ def test_golden_bytes(spec, method):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("method", METHODS)
+def test_golden_trace_encoding(spec, method, check_trace_encoding):
+    check_trace_encoding(replay(spec, method))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_replay_is_idempotent(spec):
     first = canonical_json(replay(spec, "mfs").to_dict())
     second = canonical_json(replay(spec, "mfs").to_dict())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -102,6 +103,13 @@ class TestParseConfig:
         assert config.seed == 3
         assert config.phi == PhiConfig(delta=0.5)
         assert config.decode.beam_size == 4
+
+    @pytest.mark.parametrize("data", [b"a: [\n", b"method: \xff\n"], ids=["yaml", "utf8"])
+    def test_unreadable_yaml_file_names_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        with pytest.raises(PreconditionError, match=f"^config {re.escape(str(path))}: "):
+            parse_config(path)
 
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(PreconditionError, match="unknown config keys"):
@@ -215,6 +223,14 @@ class TestParseConfig:
     def test_invalid_answer_pattern_names_the_key(self):
         with pytest.raises(PreconditionError, match="^answer_pattern must be a regular expression"):
             parse_config({"decode": {"answer_pattern": "("}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("drift", math.inf), ("drift", math.nan), ("noise_std", math.inf),
+        ("noise_std", math.nan), ("drifts", [math.nan, 0.1]), ("drifts", [0.1, -math.inf]),
+    ])
+    def test_non_finite_synthetic_world_rejected_by_key(self, key, value):
+        with pytest.raises(PreconditionError, match=f"^backend {key} must be finite, got "):
+            parse_config({"backend": {key: value}})
 
     def test_backend_float_fields_take_ints(self):
         backend = parse_config({"backend": {"drifts": [1, -1], "timeout": 5}}).backend
@@ -385,7 +401,8 @@ class TestExecuteRun:
         a = execute_run(fast_config(seed=2, workers=1))
         b = execute_run(fast_config(seed=2, workers=4))
         assert canonical_json(a.metrics.to_dict()) == canonical_json(b.metrics.to_dict())
-        assert canonical_json(a.traces) == canonical_json(b.traces)
+        assert [(tid, r.to_json()) for tid, r in a.traces] == \
+            [(tid, r.to_json()) for tid, r in b.traces]
 
     def test_rewrite_makes_new_files(self, tmp_path):
         """A second write into the same output_dir creates each output
@@ -411,8 +428,8 @@ class TestExecuteRun:
         assert phi_out.metrics.total == 4
         assert ar_out.metrics.total == 4
         assert ar_out.metrics.tokens_generated < phi_out.metrics.tokens_generated
-        for _, trace_payload in ar_out.traces:
-            assert trace_payload["stop_reason"] == "completed"
+        for _, result in ar_out.traces:
+            assert json.loads(result.to_json())["stop_reason"] == "completed"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(PreconditionError, match="method must be one of"):
@@ -623,6 +640,13 @@ class TestWriteOutputs:
         assert report["mfs"]["synthetic:4"].total == 4
         markdown = (out_dir / "report.md").read_text()
         assert markdown.startswith("| Method | synthetic:4 |")
+
+    def test_trace_lines_are_canonical_records(self, tmp_path):
+        out_dir = tmp_path / "out"
+        output = execute_run(fast_config(seed=6, output_dir=str(out_dir)))
+        lines = (out_dir / "traces.jsonl").read_bytes().splitlines()
+        assert lines == [canonical_json({"result": result.to_dict(), "task": task_id})
+                         for task_id, result in output.traces]
 
     def test_label_prefix(self, tmp_path):
         out_dir = tmp_path / "out"
