@@ -11,7 +11,7 @@ script walks one beam through the arithmetic, then sweeps lambda1.
 
 import math
 
-from driftbeam import DecodeConfig, adaptive_threshold, deficit, prune_beam
+from driftbeam import DecodeConfig, adaptive_threshold, prune_beam
 from driftbeam.engine import BeamPath, BeamState
 
 
@@ -34,7 +34,7 @@ print(f"mu = {mu:.6f}, sigma = {math.sqrt(var):.6f}")
 threshold = adaptive_threshold(qualities, lambda1=0.8)
 print(f"threshold value at lambda1=0.8: {threshold.value:.6f}")
 for q in qualities:
-    gap = deficit(max(qualities), q)
+    gap = max(qualities) - q
     verdict = "prune" if gap >= threshold.value else "keep"
     print(f"  quality {q:5.2f}: deficit {gap:.4f} -> {verdict}")
 

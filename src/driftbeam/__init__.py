@@ -23,10 +23,8 @@ from .backends import (
 from .baselines import (
     PhiConfig,
     ar_cot_decode,
-    phi_advantage,
     phi_alignment,
     phi_decode,
-    phi_stop,
 )
 from .dataset import TaskInstance, load_dataset, save_dataset, synthetic_suite
 from .engine import (
@@ -69,20 +67,14 @@ from .metrics import (
 )
 from .process import (
     AdaptiveThreshold,
-    DoobEstimate,
-    TrajectoryStats,
     adaptive_threshold,
-    deficit,
     estimate_predictable_advantage,
-    has_converged,
-    should_prune,
     trajectory_statistics,
 )
 from .runner import (
     PRESETS,
     BackendSpec,
     RunConfig,
-    SweepPoint,
     execute_run,
     parse_config,
     serialize_config,
@@ -102,7 +94,6 @@ __all__ = [
     "DecodeConfig",
     "DecodeResult",
     "DecodeStalledError",
-    "DoobEstimate",
     "DriftbeamError",
     "HttpCompletionsModel",
     "NumericInputError",
@@ -117,11 +108,9 @@ __all__ = [
     "ScriptedModel",
     "SequenceModel",
     "StepSample",
-    "SweepPoint",
     "SyntheticModel",
     "SyntheticTask",
     "TaskInstance",
-    "TrajectoryStats",
     "TransportError",
     "adaptive_threshold",
     "answers_match",
@@ -130,7 +119,6 @@ __all__ = [
     "check_stop",
     "compare_runs",
     "decode",
-    "deficit",
     "emit_report",
     "estimate_predictable_advantage",
     "execute_run",
@@ -138,22 +126,18 @@ __all__ = [
     "extract_answer",
     "finalize",
     "flops",
-    "has_converged",
     "load_dataset",
     "normalize_answer",
     "parse_config",
     "parse_report",
-    "phi_advantage",
     "phi_alignment",
     "phi_decode",
-    "phi_stop",
     "prune_beam",
     "quality_of",
     "save_dataset",
     "score_candidates",
     "select_beam",
     "serialize_config",
-    "should_prune",
     "softmax_weights",
     "substream",
     "sweep",

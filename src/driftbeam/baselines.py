@@ -9,16 +9,17 @@ autoregressive baseline is the root path finalized with no deliberation
 step: one completion of the prompt, voted on alone.
 
 The consensus decoder runs the drift decoder's loop, expand -> score and
-stop -> select, with no prune phase. Its per-step judge clusters the
-rollout answers once and takes both the alignment scores and the consensus
-stop from that clustering; the loop adds the step cap. Both baselines end
-in the drift decoder's `finalize` and emit its trace format, tagged with
-their own method names, which is what makes token and FLOPs comparisons
-between the three methods meaningful.
+stop -> select, with no prune phase. Its per-step judge, `phi_judge`,
+clusters the rollout answers once and takes both the alignment scores and
+the consensus stop from that clustering; the loop adds the step cap. Both
+baselines end in the drift decoder's `finalize` and emit its trace format,
+tagged with their own method names, which is what makes token and FLOPs
+comparisons between the three methods meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,7 +38,6 @@ from .engine import (
     score_candidates,
 )
 from .errors import PreconditionError
-from .process import estimate_predictable_advantage
 
 STOP_CONSENSUS = "consensus"
 STOP_COMPLETED = "completed"
@@ -73,11 +73,6 @@ def combine_scores(advantage: float, alignment: float, config: PhiConfig) -> flo
     if config.combine_mode == "sum":
         return advantage + alignment
     return advantage + config.alignment_weight * alignment
-
-
-def phi_advantage(parent_quality: float, rollout_qualities: Sequence[float]) -> float:
-    """Identical arithmetic to the drift estimator, by construction."""
-    return estimate_predictable_advantage(parent_quality, rollout_qualities).drift
 
 
 def cluster_candidates(
@@ -133,20 +128,24 @@ def phi_alignment(
     return alignment
 
 
-def _consensus(alignment: Sequence[float], config: PhiConfig) -> bool:
-    # Every share is len(cluster) / total, and a correctly rounded division
-    # by a fixed total is monotonic, so the largest share is exactly the
-    # largest cluster's size over the candidate count.
-    return max(alignment) >= config.delta
-
-
-def phi_stop(
+def phi_judge(
     candidates: Sequence[Candidate],
-    config: PhiConfig,
-    answer_pattern: str = DEFAULT_ANSWER_PATTERN,
-) -> bool:
-    """True iff the largest cluster's fraction reaches delta."""
-    return _consensus(phi_alignment(candidates, config, answer_pattern), config)
+    beam: BeamState,
+    *,
+    phi: PhiConfig,
+    answer_pattern: str,
+) -> tuple[list[float], dict, Optional[str]]:
+    """One consensus-decoder step: drift (`score_candidates`) plus alignment,
+    stopped once the largest answer cluster covers a delta fraction of the
+    candidates. Each share is len(cluster) / total, and a correctly rounded
+    division by a fixed total is monotonic, so the largest share is exactly
+    the largest cluster's fraction."""
+    advantages = score_candidates(candidates, beam)
+    alignments = phi_alignment(candidates, phi, answer_pattern)
+    combined = [combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)]
+    reason = STOP_CONSENSUS if max(alignments) >= phi.delta else None
+    fields = {"advantage": advantages, "alignment": alignments, "combined": combined}
+    return combined, fields, reason
 
 
 def phi_decode(
@@ -161,19 +160,7 @@ def phi_decode(
     cap, which is exactly what makes it the token-hungry reference point.
     """
     phi = phi or PhiConfig()
-
-    def judge(
-        candidates: Sequence[Candidate], beam: BeamState
-    ) -> tuple[list[float], dict, Optional[str]]:
-        advantages = score_candidates(candidates, beam)
-        alignments = phi_alignment(candidates, phi, config.answer_pattern)
-        combined = [
-            combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)
-        ]
-        reason = STOP_CONSENSUS if _consensus(alignments, phi) else None
-        fields = {"advantage": advantages, "alignment": alignments, "combined": combined}
-        return combined, fields, reason
-
+    judge = functools.partial(phi_judge, phi=phi, answer_pattern=config.answer_pattern)
     return run_loop(
         model,
         task_prompt,

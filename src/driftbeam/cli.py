@@ -213,13 +213,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     runs.setdefault("", []).append(record)
         for events in runs.values():
             sequences.extend(_leaf_advantage_chains(events))
-    stats = trajectory_statistics(sequences)
-    payload = {
-        "mean_advantage": stats.mean_advantage,
-        "trajectory_count": stats.trajectory_count,
-        "variance": stats.variance,
-    }
-    sys.stdout.buffer.write(canonical_json(payload) + b"\n")
+    sys.stdout.buffer.write(canonical_json(trajectory_statistics(sequences)) + b"\n")
     return 0
 
 

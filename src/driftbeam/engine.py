@@ -63,11 +63,8 @@ from .metrics import canonical_json
 from .process import (
     AdaptiveThreshold,
     adaptive_threshold,
-    deficit,
     estimate_predictable_advantage,
     finite_mean,
-    has_converged,
-    should_prune,
 )
 
 # Substream kind tags. Every random draw in a run is keyed by one of these
@@ -567,22 +564,20 @@ def score_candidates(candidates: Sequence[Candidate], beam: BeamState) -> list[f
         if parent.quality is None:
             raise PreconditionError(f"path {parent.path_id} has no quality yet")
         try:
-            est = estimate_predictable_advantage(parent.quality, cand.rollout_qualities)
+            drifts.append(estimate_predictable_advantage(parent.quality, cand.rollout_qualities))
         except (NumericInputError, PreconditionError) as exc:
             raise type(exc)(
                 f"candidate {cand.index} of path {cand.parent_path_id}: {exc}"
             ) from exc
-        drifts.append(est.drift)
     return drifts
 
 
 def check_stop(drifts: Sequence[float], config: DecodeConfig) -> Optional[str]:
-    """Convergence test over the best available drift. Returns the stop
-    reason, or None to keep deliberating."""
+    """Convergence test: the best available drift is at most epsilon_stop.
+    Returns the stop reason, or None to keep deliberating."""
     if not drifts:
         raise PreconditionError("check_stop over empty candidates")
-    max_drift = max(drifts)
-    if epsilon_enabled(config.epsilon_stop) and has_converged(max_drift, config.epsilon_stop):
+    if epsilon_enabled(config.epsilon_stop) and max(drifts) <= config.epsilon_stop:
         return STOP_CONVERGED
     return None
 
@@ -636,7 +631,8 @@ def select_beam(
 def prune_beam(beam: BeamState, config: DecodeConfig) -> tuple[
     Optional[AdaptiveThreshold], list[tuple[int, float]], list[int]
 ]:
-    """Drop the paths whose deficit crosses the adaptive threshold.
+    """Drop the paths whose deficit, the best quality minus their own,
+    reaches the adaptive threshold (inclusive): their stopping time.
 
     The threshold is recomputed from the beam's current qualities. The
     first path holding the maximal quality is never pruned, and a
@@ -647,7 +643,7 @@ def prune_beam(beam: BeamState, config: DecodeConfig) -> tuple[
     if not qualities or None in qualities:
         raise PreconditionError("prune_beam requires >= 1 path, each with a quality")
     best_quality = max(qualities)
-    deficits = [(p.path_id, deficit(best_quality, p.quality)) for p in beam.paths]
+    deficits = [(p.path_id, best_quality - p.quality) for p in beam.paths]
     if len(beam.paths) == 1:
         return None, deficits, []
     threshold = adaptive_threshold(qualities, config.lambda1)
@@ -655,7 +651,7 @@ def prune_beam(beam: BeamState, config: DecodeConfig) -> tuple[
         return threshold, deficits, []
     protected = qualities.index(best_quality)
     pruned = [pid for index, (pid, deficit_value) in enumerate(deficits)
-              if index != protected and should_prune(deficit_value, threshold)]
+              if index != protected and deficit_value >= threshold.value]
     beam.paths = [p for p in beam.paths if p.path_id not in pruned]
     return threshold, deficits, pruned
 

@@ -3,10 +3,10 @@
 The quality of a partial reasoning path is treated as a process F_t observed
 once per step through foresight rollouts. Everything here is a pure function
 of its arguments: drift estimation (the predictable part of the process: mean
-rollout quality minus the latest one), the deficit of a path behind the best,
-an adaptive prune threshold from the population statistics of the live beam, a
-convergence test on the best available drift, and pooled statistics over
-whole advantage trajectories.
+rollout quality minus the latest one), an adaptive prune threshold from the
+population statistics of the live beam, and pooled statistics over whole
+advantage trajectories. The prune and convergence decisions that read these
+live in `engine.prune_beam` and `engine.check_stop`.
 
 Reductions use math.fsum (exactly rounded) so results do not depend on
 summation order. A reduction whose result leaves the float range raises
@@ -22,14 +22,9 @@ from typing import Iterable, Sequence
 from .errors import NumericInputError, PreconditionError
 
 __all__ = [
-    "DoobEstimate",
     "AdaptiveThreshold",
-    "TrajectoryStats",
     "estimate_predictable_advantage",
-    "deficit",
     "adaptive_threshold",
-    "should_prune",
-    "has_converged",
     "trajectory_statistics",
     "finite_mean",
 ]
@@ -71,14 +66,6 @@ def _variance(values: Sequence[float], mean: float, name: str) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class DoobEstimate:
-    """Monte-Carlo estimate of one predictable-advantage increment: drift is
-    the trend part, the mean rollout quality minus the previous quality."""
-
-    drift: float
-
-
-@dataclass(frozen=True, slots=True)
 class AdaptiveThreshold:
     """Per-step prune threshold: value = mu + lambda1 * sigma, where mu and
     sigma are the mean and population standard deviation of the live beam's
@@ -90,18 +77,9 @@ class AdaptiveThreshold:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryStats:
-    """Pooled advantage statistics over a corpus of trajectories."""
-
-    mean_advantage: float
-    variance: float
-    trajectory_count: int
-
-
 def estimate_predictable_advantage(
     previous_quality: float, rollout_qualities: Sequence[float]
-) -> DoobEstimate:
+) -> float:
     """Estimate the drift of the quality process from foresight rollouts.
 
     The process splits into a predictable trend plus zero-mean noise; with
@@ -122,14 +100,7 @@ def estimate_predictable_advantage(
         _check_finite(previous_quality, "previous_quality")
         _check_all_finite(rollout_qualities, "rollout_qualities")
         drift = finite_mean(rollout_qualities, "rollout_qualities") - previous_quality
-    return DoobEstimate(drift=drift)
-
-
-def deficit(best_quality: float, path_quality: float) -> float:
-    """How far a path lags behind the best one: D = best - path."""
-    _check_finite(best_quality, "best_quality")
-    _check_finite(path_quality, "path_quality")
-    return best_quality - path_quality
+    return drift
 
 
 def adaptive_threshold(scores: Sequence[float], lambda1: float) -> AdaptiveThreshold:
@@ -149,32 +120,9 @@ def adaptive_threshold(scores: Sequence[float], lambda1: float) -> AdaptiveThres
     return AdaptiveThreshold(mu=mu, sigma=sigma, lambda1=lambda1, value=mu + lambda1 * sigma)
 
 
-def should_prune(deficit_value: float, threshold: AdaptiveThreshold) -> bool:
-    """Prune iff the deficit reaches the threshold (inclusive boundary).
-
-    The first step at which this fires for a path is its stopping time.
-    """
-    _check_finite(deficit_value, "deficit_value")
-    return deficit_value >= threshold.value
-
-
-def has_converged(max_advantage: float, epsilon_stop: float) -> bool:
-    """True when the best available drift no longer exceeds epsilon_stop.
-
-    A favorable bounded process settles; once even the best candidate's
-    drift is at or below the tolerance, further deliberation is not
-    expected to improve anything.
-    """
-    _check_finite(max_advantage, "max_advantage")
-    _check_finite(epsilon_stop, "epsilon_stop")
-    if epsilon_stop < 0:
-        raise PreconditionError(f"epsilon_stop must be >= 0, got {epsilon_stop}")
-    return max_advantage <= epsilon_stop
-
-
 def trajectory_statistics(
     advantage_sequences: Iterable[Sequence[float]],
-) -> TrajectoryStats:
+) -> dict:
     """Pool per-step advantages across trajectories.
 
     Returns the grand mean and population variance of all values pooled
@@ -189,9 +137,6 @@ def trajectory_statistics(
             raise PreconditionError(f"advantage_sequences[{k}] is empty")
         pooled.extend(_check_all_finite(seq, f"advantage_sequences[{k}]"))
     mean = finite_mean(pooled, "advantages")
-    return TrajectoryStats(
-        mean_advantage=mean,
-        variance=_variance(pooled, mean, "advantages"),
-        trajectory_count=len(sequences),
-    )
+    variance = _variance(pooled, mean, "advantages")
+    return {"mean_advantage": mean, "trajectory_count": len(sequences), "variance": variance}
 

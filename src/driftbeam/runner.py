@@ -123,6 +123,11 @@ class BackendSpec:
             if not all(map(math.isfinite, values)):
                 raise PreconditionError(
                     f"backend {name} must be finite, got {getattr(self, name)!r}")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise PreconditionError(f"backend timeout must be finite > 0, got {self.timeout!r}")
+        if not (self.model_temperature >= 0 and math.isfinite(self.model_temperature)):
+            raise PreconditionError("backend model_temperature must be finite >= 0, "
+                                    f"got {self.model_temperature!r}")
         if self.model_params <= 0:
             raise PreconditionError("model_params must be > 0")
         if self.kind == "scripted" and not self.fixture:

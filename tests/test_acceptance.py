@@ -20,19 +20,24 @@ from driftbeam import (
     ScriptedModel,
     adaptive_threshold,
     canonical_json,
+    check_stop,
     compare_runs,
     decode,
     estimate_predictable_advantage,
     flops,
-    has_converged,
-    phi_advantage,
     phi_decode,
-    phi_stop,
     prune_beam,
 )
 from driftbeam.backends import load_fixture
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
-from driftbeam.engine import BeamPath, BeamState, Candidate
+from driftbeam.baselines import STOP_CONSENSUS, phi_judge
+from driftbeam.engine import (
+    DEFAULT_ANSWER_PATTERN,
+    STOP_CONVERGED,
+    BeamPath,
+    BeamState,
+    Candidate,
+)
 from driftbeam.metrics import PerExample
 from driftbeam.runner import decode_with, execute_run, parse_config, write_outputs
 
@@ -58,32 +63,33 @@ def test_criterion_01_doob_estimator_consistency():
     for _ in range(trials):
         parent = float(rng.normal(0.0, 1.0))
         rollouts = parent + rng.normal(0.05, sigma, n)
-        est = estimate_predictable_advantage(parent, rollouts.tolist())
-        hits += abs(est.drift - 0.05) <= bound
+        drift = estimate_predictable_advantage(parent, rollouts.tolist())
+        hits += abs(drift - 0.05) <= bound
     assert hits >= 990
     record(1, f"drift within 4σ/√N in {hits}/{trials} trials")
 
 
 def test_criterion_02_convergence_stop_soundness():
-    """ε_stop = 3σ/√N: fires ≥ 99% at zero drift, ≤ 1% at drift 0.05."""
+    """check_stop at ε_stop = 3σ/√N: fires ≥ 99% at zero drift, ≤ 1% at drift 0.05."""
     rng = np.random.default_rng(20260802)
     sigma, n, trials = 0.2, 10_000, 1000
-    epsilon = 3.0 * sigma / np.sqrt(n)
+    config = DecodeConfig(epsilon_stop=float(3.0 * sigma / np.sqrt(n)))
 
     def fire_count(mu: float) -> int:
         fired = 0
         for _ in range(trials):
-            est = estimate_predictable_advantage(
+            drift = estimate_predictable_advantage(
                 0.0, rng.normal(mu, sigma, n).tolist()
             )
-            fired += has_converged(est.drift, epsilon)
+            fired += check_stop([drift], config) == STOP_CONVERGED
         return fired
 
     null_fires = fire_count(0.0)
     drift_fires = fire_count(0.05)
     assert null_fires >= 990
     assert drift_fires <= 10
-    record(2, f"stop fired {null_fires}/1000 at zero drift, {drift_fires}/1000 at drift 0.05")
+    record(2, f"check_stop fired {null_fires}/1000 at zero drift, "
+              f"{drift_fires}/1000 at drift 0.05")
 
 
 def test_criterion_03_threshold_exactness():
@@ -235,16 +241,14 @@ def test_criterion_08_flops_exactness():
 
 
 def test_criterion_09_baseline_equivalence():
-    """phi advantage ≡ drift bit-for-bit; consensus stop matches the oracle."""
-    rng = np.random.default_rng(20260809)
-    for _ in range(10_000):
-        parent = float(rng.normal(0.0, 2.0))
-        rollouts = rng.normal(0.0, 2.0, int(rng.integers(1, 17))).tolist()
-        assert phi_advantage(parent, rollouts) == (
-            estimate_predictable_advantage(parent, rollouts).drift
-        )
+    """phi_judge's advantage ≡ drift bit-for-bit; its consensus stop matches the oracle."""
 
-    def candidate_with_answer(index: int, label: int) -> Candidate:
+    def judge(candidates, parent: float, delta: float = 0.6):
+        beam = BeamState(paths=[BeamPath(path_id=0, prefix="Q\n", quality=parent)])
+        return phi_judge(candidates, beam, phi=PhiConfig(delta=delta),
+                         answer_pattern=DEFAULT_ANSWER_PATTERN)
+
+    def candidate_with_answer(index: int, label: int, qualities=(0.0,)) -> Candidate:
         return Candidate(
             parent_path_id=0,
             index=index,
@@ -252,8 +256,15 @@ def test_criterion_09_baseline_equivalence():
             step_tokens=2,
             finish_reason="delimiter",
             rollout_texts=(f"mull\nAnswer: a{label}",),
-            rollout_qualities=(0.0,),
+            rollout_qualities=tuple(qualities),
         )
+
+    rng = np.random.default_rng(20260809)
+    for _ in range(10_000):
+        parent = float(rng.normal(0.0, 2.0))
+        rollouts = rng.normal(0.0, 2.0, int(rng.integers(1, 17))).tolist()
+        _, fields, _ = judge([candidate_with_answer(0, 0, rollouts)], parent)
+        assert fields["advantage"] == [estimate_predictable_advantage(parent, rollouts)]
 
     cases = 0
     deltas = (0.2, 0.4, 0.5, 0.6, 2.0 / 3.0, 0.75, 1.0)
@@ -262,10 +273,11 @@ def test_criterion_09_baseline_equivalence():
             candidates = [candidate_with_answer(i, lab) for i, lab in enumerate(labels)]
             top_fraction = max(Counter(labels).values()) / width
             for delta in deltas:
-                oracle = top_fraction >= delta
-                assert phi_stop(candidates, PhiConfig(delta=delta)) == oracle
+                oracle = STOP_CONSENSUS if top_fraction >= delta else None
+                assert judge(candidates, 0.0, delta)[2] == oracle
                 cases += 1
-    record(9, f"advantage bit-equal on 10^4 inputs; consensus matched oracle on {cases} cases")
+    record(9, f"phi_judge advantage bit-equal on 10^4 inputs; "
+              f"consensus stop matched oracle on {cases} cases")
 
 
 def test_criterion_10_golden_traces():

@@ -20,11 +20,10 @@ from driftbeam.baselines import (
     STOP_CONSENSUS,
     cluster_candidates,
     combine_scores,
-    phi_advantage,
     phi_alignment,
-    phi_stop,
+    phi_judge,
 )
-from driftbeam.engine import Candidate
+from driftbeam.engine import DEFAULT_ANSWER_PATTERN, BeamPath, BeamState, Candidate
 from driftbeam.process import estimate_predictable_advantage
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -44,16 +43,28 @@ def mk_candidate(answer=None, quality=0.0, index=0):
     )
 
 
+def judge(candidates, delta=0.6, parent_quality=0.0):
+    """phi_judge over candidates that all extend one path of the given quality."""
+    beam = BeamState(paths=[BeamPath(path_id=0, prefix="Q\n", quality=parent_quality)])
+    return phi_judge(candidates, beam, phi=PhiConfig(delta=delta),
+                     answer_pattern=DEFAULT_ANSWER_PATTERN)
+
+
 class TestPhiAdvantage:
+    """phi_judge's advantage field is the drift estimator's value."""
+
     def test_pinned_example(self):
-        assert phi_advantage(-1.0, [-0.8, -0.6, -0.7]) == pytest.approx(0.3, abs=1e-12)
+        cand = Candidate(0, 0, "step\n", 2, "delimiter", ("mull",), (-0.8, -0.6, -0.7))
+        _, fields, _ = judge([cand], parent_quality=-1.0)
+        assert fields["advantage"] == [pytest.approx(0.3, abs=1e-12)]
 
     @given(prev=finite, qs=st.lists(finite, min_size=1, max_size=12))
     @settings(max_examples=300)
     def test_bit_identical_to_drift_estimator(self, prev, qs):
         # Not approximately equal: the same function, hence the same bits.
-        drift = estimate_predictable_advantage(prev, qs).drift
-        assert phi_advantage(prev, qs) == drift
+        cand = Candidate(0, 0, "step\n", 2, "delimiter", ("mull",), tuple(qs))
+        _, fields, _ = judge([cand], parent_quality=prev)
+        assert fields["advantage"] == [estimate_predictable_advantage(prev, qs)]
 
 
 class TestPhiConfig:
@@ -129,29 +140,31 @@ class TestClustering:
 
 
 class TestPhiStop:
+    """phi_judge's consensus stop."""
+
     def test_stops_at_delta(self):
         cands = [mk_candidate("A"), mk_candidate("A"), mk_candidate("B")]
-        assert phi_stop(cands, PhiConfig(delta=0.6)) is True  # 2/3 >= 0.6
-        assert phi_stop(cands, PhiConfig(delta=0.7)) is False
+        assert judge(cands, delta=0.6)[2] == STOP_CONSENSUS  # 2/3 >= 0.6
+        assert judge(cands, delta=0.7)[2] is None
 
     def test_boundary_inclusive(self):
         cands = [mk_candidate("A"), mk_candidate("B")]
-        assert phi_stop(cands, PhiConfig(delta=0.5)) is True  # exactly 1/2
+        assert judge(cands, delta=0.5)[2] == STOP_CONSENSUS  # exactly 1/2
 
     def test_delta_zero_always_stops(self):
-        assert phi_stop([mk_candidate("A"), mk_candidate("B")], PhiConfig(delta=0.0))
+        assert judge([mk_candidate("A"), mk_candidate("B")], delta=0.0)[2] == STOP_CONSENSUS
 
     @given(answers=st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_delta_above_one_never_stops(self, answers):
         cands = [mk_candidate(a, index=i) for i, a in enumerate(answers)]
-        assert phi_stop(cands, PhiConfig(delta=1.0 + 1e-9)) is False
+        assert judge(cands, delta=1.0 + 1e-9)[2] is None
 
     @given(answers=st.lists(st.sampled_from(["A", "B"]), min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_unanimous_always_stops_at_delta_one(self, answers):
         cands = [mk_candidate(answers[0], index=i) for i in range(len(answers))]
-        assert phi_stop(cands, PhiConfig(delta=1.0)) is True
+        assert judge(cands, delta=1.0)[2] == STOP_CONSENSUS
 
 
 class TestPhiDecode:

@@ -252,6 +252,8 @@ class TestDecode:
         ("backend:\n  kind: http\n  base_url: localhost:8000\n  model: m\n",
          "backend base_url must be an http:// or https:// URL with a host, "
          "got 'localhost:8000'"),
+        ("backend:\n  kind: http\n  base_url: http://h:1\n  model: m\n  timeout: .nan\n",
+         "backend timeout must be finite > 0, got nan"),
     ])
     def test_bad_optional_value_is_error_record(self, capfd, tmp_path, monkeypatch, text,
                                                 message):

@@ -232,6 +232,23 @@ class TestParseConfig:
         with pytest.raises(PreconditionError, match=f"^backend {key} must be finite, got "):
             parse_config({"backend": {key: value}})
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("timeout", math.nan, "> 0"), ("timeout", math.inf, "> 0"),
+        ("timeout", -1.0, "> 0"), ("timeout", 0.0, "> 0"),
+        ("model_temperature", math.nan, ">= 0"), ("model_temperature", math.inf, ">= 0"),
+        ("model_temperature", -0.5, ">= 0"),
+    ])
+    def test_http_timeout_and_temperature_rejected_by_key(self, key, value, bound,
+                                                          monkeypatch):
+        monkeypatch.delenv(ENV_BASE_URL, raising=False)
+        backend = {"kind": "http", "base_url": "http://h:1", "model": "m", key: value}
+        with pytest.raises(PreconditionError,
+                           match=f"^backend {key} must be finite {bound}, got {value!r}$"):
+            parse_config({"backend": backend})
+
+    def test_greedy_temperature_accepted(self):
+        assert parse_config({"backend": {"model_temperature": 0}}).backend.model_temperature == 0
+
     def test_backend_float_fields_take_ints(self):
         backend = parse_config({"backend": {"drifts": [1, -1], "timeout": 5}}).backend
         assert backend.drifts == (1.0, -1.0)
