@@ -18,31 +18,20 @@ from .backends import (
     StepSample,
     SyntheticModel,
     SyntheticTask,
-    quality_of,
 )
 from .baselines import (
     PhiConfig,
     ar_cot_decode,
-    phi_alignment,
     phi_decode,
 )
 from .dataset import TaskInstance, load_dataset, save_dataset, synthetic_suite
 from .engine import (
-    BeamPath,
-    BeamState,
-    Candidate,
     DecodeConfig,
     DecodeResult,
     check_stop,
     decode,
-    expand_beam,
     extract_answer,
-    finalize,
     prune_beam,
-    score_candidates,
-    select_beam,
-    softmax_weights,
-    substream,
 )
 from .errors import (
     DatasetError,
@@ -66,7 +55,6 @@ from .metrics import (
     parse_report,
 )
 from .process import (
-    AdaptiveThreshold,
     adaptive_threshold,
     estimate_predictable_advantage,
     trajectory_statistics,
@@ -84,11 +72,7 @@ from .runner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveThreshold",
     "BackendSpec",
-    "BeamPath",
-    "BeamState",
-    "Candidate",
     "Comparison",
     "DatasetError",
     "DecodeConfig",
@@ -122,24 +106,16 @@ __all__ = [
     "emit_report",
     "estimate_predictable_advantage",
     "execute_run",
-    "expand_beam",
     "extract_answer",
-    "finalize",
     "flops",
     "load_dataset",
     "normalize_answer",
     "parse_config",
     "parse_report",
-    "phi_alignment",
     "phi_decode",
     "prune_beam",
-    "quality_of",
     "save_dataset",
-    "score_candidates",
-    "select_beam",
     "serialize_config",
-    "softmax_weights",
-    "substream",
     "sweep",
     "synthetic_suite",
     "trajectory_statistics",

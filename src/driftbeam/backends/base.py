@@ -69,10 +69,6 @@ class StepSample:
         quality = total / len(lps) if lps and math.isfinite(total) else None
         object.__setattr__(self, "quality", quality)
 
-    @property
-    def token_count(self) -> int:
-        return len(self.token_logprobs)
-
 
 def quality_of(sample: StepSample) -> float:
     """Mean per-token log-probability of a sample — the quality F of the

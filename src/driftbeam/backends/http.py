@@ -32,8 +32,8 @@ when the model is dropped.
 
 Retries. A socket error or an HTTP framing error (raised as one of
 `http.client`'s own exceptions) closes the connection; it and the statuses
-429, 500, 502, 503 and 504 are retried with exponential backoff (3 retries
-by default). A request that succeeded only
+429, 500, 502, 503 and 504 are retried up to MAX_RETRIES times, the k-th
+after a sleep of BACKOFF_S * 2**(k-1) seconds. A request that succeeded only
 after a retry consumed a different server-side sample than a clean run
 would have, so the model drops its ``replayable`` claim the first time that
 happens. Any other status is a ProtocolError naming it; redirects (3xx) are
@@ -83,6 +83,8 @@ from .base import (
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 _SEED_SPAN = 2**31 - 1
 CONNECT_TIMEOUT_S = 10.0
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
 AUTH_SCHEME = "Bearer"
 ENDPOINT = "/v1/completions"
 
@@ -302,8 +304,6 @@ class HttpCompletionsModel(SequenceModel):
         *,
         temperature: float = 1.0,
         timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
         auth_token: Optional[str] = None,
         auth_header: str = "Authorization",
         verify_tls: bool = True,
@@ -313,8 +313,6 @@ class HttpCompletionsModel(SequenceModel):
         self.model = model
         self.temperature = temperature
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self._proxy = _proxy_for(self._url)
         # A plain-http proxy takes the absolute URL; anything else the path.
         absolute_target = self._proxy is not None and self._url.scheme == "http"
@@ -382,9 +380,9 @@ class HttpCompletionsModel(SequenceModel):
         message = self._head + b"%d\r\n\r\n" % len(data) + data
         attempt = 0
         last_error: Optional[str] = None
-        while attempt <= self.max_retries:
+        while attempt <= MAX_RETRIES:
             if attempt > 0:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
                 with self._lock:
                     self._replayable = False
             try:
@@ -412,7 +410,7 @@ class HttpCompletionsModel(SequenceModel):
             except ValueError as exc:
                 raise ProtocolError(f"{url} returned non-JSON body") from exc
         raise TransportError(
-            f"{url} failed after {self.max_retries} retries (last: {last_error})"
+            f"{url} failed after {MAX_RETRIES} retries (last: {last_error})"
         )
 
     def _parse(self, payload: dict, finish_on_stop: str) -> StepSample:

@@ -42,16 +42,14 @@ from .errors import PreconditionError
 STOP_CONSENSUS = "consensus"
 STOP_COMPLETED = "completed"
 
-COMBINE_MODES = ("sum", "weighted-sum")
-
 
 @dataclass(frozen=True, slots=True)
 class PhiConfig:
     """Consensus-decoder knobs. delta > 1 disables the consensus stop
-    (only the hard step cap fires); delta = 0 stops at the first step."""
+    (only the hard step cap fires); delta = 0 stops at the first step. A
+    candidate scores advantage + alignment_weight * alignment."""
 
     delta: float = 0.6
-    combine_mode: str = "sum"
     alignment_weight: float = 1.0
     cluster_distance: float = 0.05
 
@@ -59,20 +57,10 @@ class PhiConfig:
         check_field_types(self, "phi")
         if not (self.delta >= 0 and math.isfinite(self.delta)):
             raise PreconditionError(f"delta must be finite >= 0, got {self.delta}")
-        if self.combine_mode not in COMBINE_MODES:
-            raise PreconditionError(
-                f"combine_mode must be one of {COMBINE_MODES}, got {self.combine_mode!r}"
-            )
         if not math.isfinite(self.alignment_weight):
             raise PreconditionError("alignment_weight must be finite")
         if self.cluster_distance < 0 or not math.isfinite(self.cluster_distance):
             raise PreconditionError("cluster_distance must be finite >= 0")
-
-
-def combine_scores(advantage: float, alignment: float, config: PhiConfig) -> float:
-    if config.combine_mode == "sum":
-        return advantage + alignment
-    return advantage + config.alignment_weight * alignment
 
 
 def cluster_candidates(
@@ -135,14 +123,15 @@ def phi_judge(
     phi: PhiConfig,
     answer_pattern: str,
 ) -> tuple[list[float], dict, Optional[str]]:
-    """One consensus-decoder step: drift (`score_candidates`) plus alignment,
-    stopped once the largest answer cluster covers a delta fraction of the
-    candidates. Each share is len(cluster) / total, and a correctly rounded
-    division by a fixed total is monotonic, so the largest share is exactly
-    the largest cluster's fraction."""
+    """One consensus-decoder step: drift (`score_candidates`) plus weighted
+    alignment (a weight of 1.0 adds the alignment exactly), stopped once
+    the largest answer cluster covers a delta fraction of the candidates.
+    Each share is len(cluster) / total, and a correctly rounded division by
+    a fixed total is monotonic, so the largest share is exactly the largest
+    cluster's fraction."""
     advantages = score_candidates(candidates, beam)
     alignments = phi_alignment(candidates, phi, answer_pattern)
-    combined = [combine_scores(adv, ali, phi) for adv, ali in zip(advantages, alignments)]
+    combined = [adv + phi.alignment_weight * ali for adv, ali in zip(advantages, alignments)]
     reason = STOP_CONSENSUS if max(alignments) >= phi.delta else None
     fields = {"advantage": advantages, "alignment": alignments, "combined": combined}
     return combined, fields, reason

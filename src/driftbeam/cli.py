@@ -23,10 +23,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from .baselines import COMBINE_MODES
 from .engine import SELECTIONS, parse_epsilon
-from .errors import DriftbeamError, PreconditionError
-from .metrics import RunMetrics, canonical_json, compare_runs
+from .errors import DatasetError, DriftbeamError, PreconditionError
+from .metrics import RunMetrics, canonical_json, compare_runs, read_json_lines
 from .process import trajectory_statistics
 from .runner import (
     BACKEND_KINDS,
@@ -78,7 +77,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     add("--selection", choices=SELECTIONS, dest="decode.selection")
     add("--no-prune", action="store_false", dest="decode.prune_enabled")
     add("--delta", type=float, dest="phi.delta", help="consensus stop fraction")
-    add("--combine-mode", choices=COMBINE_MODES, dest="phi.combine_mode")
     add("--alignment-weight", type=float, dest="phi.alignment_weight")
     add("--cluster-distance", type=float, dest="phi.cluster_distance")
 
@@ -199,18 +197,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     sequences: list[list[float]] = []
     for path in args.traces:
         runs: dict[str, list[dict]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if "result" in record:
-                    runs.setdefault(str(record.get("task")), []).extend(
-                        record["result"].get("trace", [])
-                    )
-                else:
-                    runs.setdefault("", []).append(record)
+        for line_no, _, record in read_json_lines(path, DatasetError):
+            if not isinstance(record, dict):
+                raise DatasetError(f"{path}:{line_no}: a trace line must be a JSON object, "
+                                   f"got {type(record).__name__}")
+            if "result" in record:
+                runs.setdefault(str(record.get("task")), []).extend(
+                    record["result"].get("trace", [])
+                )
+            else:
+                runs.setdefault("", []).append(record)
         for events in runs.values():
             sequences.extend(_leaf_advantage_chains(events))
     sys.stdout.buffer.write(canonical_json(trajectory_statistics(sequences)) + b"\n")

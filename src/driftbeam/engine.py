@@ -539,9 +539,6 @@ def expand_beam(
     beam.tokens_generated += step_tokens + rollout_tokens
     beam.rollout_tokens += rollout_tokens
 
-    if not candidates:
-        raise DecodeStalledError("expand produced zero candidates")
-
     # Pooled first-expand mean initializes the quality process: the prompt's
     # own value F_0 is the average of everything foresight saw from it.
     fresh_parents = [p for p in live if p.quality is None]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
@@ -136,41 +136,34 @@ class PerExample:
 
 @dataclass(frozen=True, slots=True)
 class RunMetrics:
-    tokens_generated: int
-    model_params: int
-    flops: int
-    correct: int
-    total: int
+    """A run's examples and model size; the four counts are derived from
+    them once, when the record is built, and never stored apart from them."""
+
     per_example: tuple[PerExample, ...]
+    model_params: int
+    tokens_generated: int = field(init=False)
+    flops: int = field(init=False)
+    correct: int = field(init=False)
+    total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.tokens_generated < 0:
-            raise PreconditionError("tokens_generated must be >= 0")
-        if self.model_params <= 0:
-            raise PreconditionError("model_params must be > 0")
-        if self.flops != 6 * self.tokens_generated * self.model_params:
-            raise PreconditionError("flops must equal 6 * tokens * params exactly")
-        if not (0 <= self.correct <= self.total):
-            raise PreconditionError("correct must lie in [0, total]")
+        examples = tuple(self.per_example)
+        tokens = sum(e.tokens for e in examples)
+        for name, value in (
+            ("per_example", examples),
+            ("model_params", _as_int(self.model_params, "model_params")),
+            ("tokens_generated", tokens),
+            ("flops", flops(tokens, self.model_params)),
+            ("correct", sum(e.correct for e in examples)),
+            ("total", len(examples)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def accuracy_value(self) -> float:
         if self.total == 0:
             raise PreconditionError("accuracy of an empty run is undefined")
         return self.correct / self.total
-
-    @classmethod
-    def from_examples(cls, per_example: Sequence[PerExample], model_params: int) -> "RunMetrics":
-        examples = tuple(per_example)
-        tokens = sum(e.tokens for e in examples)
-        return cls(
-            tokens_generated=tokens,
-            model_params=_as_int(model_params, "model_params"),
-            flops=flops(tokens, model_params),
-            correct=sum(1 for e in examples if e.correct),
-            total=len(examples),
-            per_example=examples,
-        )
 
     def to_dict(self) -> dict:
         """JSON-shaped: per_example is a list, as json.loads reads it back."""
@@ -180,11 +173,18 @@ class RunMetrics:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunMetrics":
+        """The record `to_dict` wrote. A stored count that differs from what
+        its examples give is a DatasetError naming the first such count."""
         record = _record_fields(cls, data)
         if not isinstance(record["per_example"], list):
             raise DatasetError("RunMetrics record: per_example must be a list")
-        record["per_example"] = tuple(PerExample.from_dict(e) for e in record["per_example"])
-        return cls(**record)
+        metrics = cls(tuple(PerExample.from_dict(e) for e in record["per_example"]),
+                      record["model_params"])
+        for f in fields(cls):
+            if not f.init and record[f.name] != getattr(metrics, f.name):
+                raise DatasetError(f"RunMetrics record: {f.name} is {record[f.name]}, "
+                                   f"its examples give {getattr(metrics, f.name)}")
+        return metrics
 
 
 @dataclass(frozen=True, slots=True)

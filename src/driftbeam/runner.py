@@ -77,7 +77,6 @@ PRESETS: dict[str, dict] = {
 for _values in PRESETS.values():
     _values.update({"beam_size": 8, "rollouts_per_candidate": 8})
 
-_GRID_FIELDS = ("lambda1", "beam_size", "epsilon_stop", "rollouts_per_candidate")
 _GRID_ALIASES = {"N": "rollouts_per_candidate", "M": "beam_size"}
 
 ENV_BASE_URL = "DRIFTBEAM_BASE_URL"
@@ -206,6 +205,28 @@ class RunConfig:
             raise PreconditionError(
                 f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}"
             )
+        if self.grid is not None:
+            object.__setattr__(self, "grid", self._checked_grid())
+
+    def _checked_grid(self) -> dict[str, tuple]:
+        """The grid with the N/M aliases resolved and epsilon_stop values
+        parsed. Any decode field but `seed` (each point's seed is the run
+        seed plus its index) takes a non-empty list, and every point must
+        make a valid DecodeConfig."""
+        grid: dict[str, tuple] = {}
+        for key, values in self.grid.items():
+            name = _GRID_ALIASES.get(key, key)
+            if name == "seed" or name not in {f.name for f in fields(DecodeConfig)}:
+                raise PreconditionError(f"grid field {key!r} not sweepable; allowed: "
+                                        f"any decode field but seed, or N or M")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise PreconditionError(f"grid field {key!r} needs a non-empty list")
+            if name == "epsilon_stop":
+                values = [parse_epsilon(value) for value in values]
+            grid[name] = tuple(values)
+        for point in _grid_points(grid):
+            self.decode.replace(**point)
+        return grid
 
     def replace(self, **changes) -> "RunConfig":
         return replace(self, **changes)
@@ -282,21 +303,6 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
         phi_raw = dict(raw["phi"])
         _check_keys(phi_raw, PhiConfig, "phi")
         top["phi"] = PhiConfig(**phi_raw)
-
-    if raw.get("grid") is not None:
-        grid: dict[str, tuple] = {}
-        for key, values in dict(raw["grid"]).items():
-            name = _GRID_ALIASES.get(key, key)
-            if name not in _GRID_FIELDS:
-                raise PreconditionError(
-                    f"grid field {key!r} not sweepable; allowed: {_GRID_FIELDS}"
-                )
-            if not isinstance(values, (list, tuple)) or not values:
-                raise PreconditionError(f"grid field {key!r} needs a non-empty list")
-            if name == "epsilon_stop":
-                values = [parse_epsilon(value) for value in values]
-            grid[name] = tuple(values)
-        top["grid"] = grid
 
     return RunConfig(**top)
 
@@ -402,8 +408,6 @@ def _dataset_label(config: RunConfig) -> str:
 def execute_run(
     config: RunConfig,
     dataset: Optional[Sequence[TaskInstance]] = None,
-    *,
-    label: Optional[str] = None,
 ) -> RunOutput:
     """Run the configured method over every instance and aggregate.
 
@@ -449,10 +453,10 @@ def execute_run(
         )
         traces.append((task_id, outcome))
 
-    metrics = RunMetrics.from_examples(examples, config.backend.model_params)
+    metrics = RunMetrics(tuple(examples), config.backend.model_params)
     output = RunOutput(metrics=metrics, failures=tuple(failures), traces=tuple(traces))
     if config.output_dir is not None:
-        write_outputs(config, output, label=label)
+        write_outputs(config, output)
     return output
 
 
@@ -466,22 +470,21 @@ def _write_new(path: Path, data: bytes) -> None:
     path.write_bytes(data)
 
 
-def write_outputs(config: RunConfig, output: RunOutput, *, label: Optional[str] = None) -> Path:
+def write_outputs(config: RunConfig, output: RunOutput) -> Path:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = f"{label}-" if label else ""
-    _write_new(out_dir / f"{prefix}metrics.json", canonical_json({
+    _write_new(out_dir / "metrics.json", canonical_json({
         "failures": [[tid, msg] for tid, msg in output.failures],
         "metrics": output.metrics.to_dict(),
     }))
     # Each line is canonical_json({"result": result.to_dict(), "task": task_id}).
-    _write_new(out_dir / f"{prefix}traces.jsonl", b"".join(
+    _write_new(out_dir / "traces.jsonl", b"".join(
         b'{"result":' + result.to_json() + b',"task":' + canonical_json(task_id) + b"}\n"
         for task_id, result in output.traces
     ))
     table = {config.method: {_dataset_label(config): output.metrics}}
-    _write_new(out_dir / f"{prefix}report.md", emit_report(table, "markdown"))
-    _write_new(out_dir / f"{prefix}report.json", emit_report(table, "json"))
+    _write_new(out_dir / "report.md", emit_report(table, "markdown"))
+    _write_new(out_dir / "report.json", emit_report(table, "json"))
     return out_dir
 
 
@@ -496,34 +499,31 @@ class SweepPoint:
     metrics: RunMetrics
 
 
+def _grid_points(grid: Mapping[str, Sequence]) -> list[dict]:
+    """The grid's points as decode overrides: the cartesian product of its
+    value lists, the last field varying fastest."""
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+
+
 def sweep(
     config: RunConfig,
-    grid: Optional[Mapping[str, Sequence]] = None,
     dataset: Optional[Sequence[TaskInstance]] = None,
 ) -> list[SweepPoint]:
-    """One run per grid point, seeds base_seed + i, in grid order.
-
-    The grid is a mapping of decode fields to value lists; points enumerate
-    as the cartesian product with the last field varying fastest.
-    """
-    if grid is None:
-        grid = config.grid
-    if not grid:
+    """One run per point of `config.grid`, seeds base_seed + i, in grid
+    order. Each point runs without an output directory; with one set, the
+    sweep writes only sweep-report.md/json and sweep-points.json there."""
+    if not config.grid:
         raise PreconditionError("sweep requires a non-empty grid")
-    fields = list(grid.keys())
-    for name in fields:
-        if name not in _GRID_FIELDS:
-            raise PreconditionError(f"grid field {name!r} not sweepable; allowed: {_GRID_FIELDS}")
     points: list[SweepPoint] = []
     rows: dict[str, dict[str, RunMetrics]] = {}
-    for index, values in enumerate(itertools.product(*(grid[name] for name in fields))):
-        overrides = dict(zip(fields, values))
+    for index, overrides in enumerate(_grid_points(config.grid)):
         label = ",".join(f"{name}={value}" for name, value in overrides.items())
         run_seed = config.seed + index
         point_config = config.replace(
             seed=run_seed,
             decode=config.decode.replace(**overrides),
             output_dir=None,
+            grid=None,
         )
         output = execute_run(point_config, dataset)
         points.append(

@@ -230,7 +230,7 @@ def test_criterion_08_flops_exactness():
     def run_with(tokens: int) -> RunMetrics:
         examples = [PerExample(task_id="t1", predicted="4", gold="4",
                                tokens=tokens, stop_step=2, prune_count=0)]
-        return RunMetrics.from_examples(examples, model_params=8_000_000_000)
+        return RunMetrics(tuple(examples), model_params=8_000_000_000)
 
     lean = run_with(5_687_500)
     heavy = run_with(8_354_167)

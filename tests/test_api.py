@@ -4,19 +4,17 @@ deliberate edit to this list."""
 import driftbeam
 
 PUBLIC_NAMES = [
-    "AdaptiveThreshold", "BackendSpec", "BeamPath", "BeamState", "Candidate",
-    "Comparison", "DatasetError", "DecodeConfig", "DecodeResult", "DecodeStalledError",
-    "DriftbeamError", "HttpCompletionsModel", "NumericInputError", "PRESETS",
-    "PerExample", "PhiConfig", "PreconditionError", "ProtocolError", "RecordingModel",
-    "RunConfig", "RunMetrics", "ScriptedModel", "SequenceModel", "StepSample",
-    "SyntheticModel", "SyntheticTask", "TaskInstance", "TransportError",
+    "BackendSpec", "Comparison", "DatasetError", "DecodeConfig", "DecodeResult",
+    "DecodeStalledError", "DriftbeamError", "HttpCompletionsModel", "NumericInputError",
+    "PRESETS", "PerExample", "PhiConfig", "PreconditionError", "ProtocolError",
+    "RecordingModel", "RunConfig", "RunMetrics", "ScriptedModel", "SequenceModel",
+    "StepSample", "SyntheticModel", "SyntheticTask", "TaskInstance", "TransportError",
     "adaptive_threshold", "answers_match", "ar_cot_decode", "canonical_json",
     "check_stop", "compare_runs", "decode", "emit_report",
-    "estimate_predictable_advantage", "execute_run", "expand_beam", "extract_answer",
-    "finalize", "flops", "load_dataset", "normalize_answer", "parse_config",
-    "parse_report", "phi_alignment", "phi_decode", "prune_beam", "quality_of",
-    "save_dataset", "score_candidates", "select_beam", "serialize_config",
-    "softmax_weights", "substream", "sweep", "synthetic_suite", "trajectory_statistics",
+    "estimate_predictable_advantage", "execute_run", "extract_answer", "flops",
+    "load_dataset", "normalize_answer", "parse_config", "parse_report", "phi_decode",
+    "prune_beam", "save_dataset", "serialize_config", "sweep", "synthetic_suite",
+    "trajectory_statistics",
 ]
 
 

@@ -37,7 +37,7 @@ class TestStepSample:
     def test_quality_is_mean_logprob(self):
         sample = StepSample("a b c", (-0.3, -0.6, -0.9), FINISH_LENGTH)
         assert quality_of(sample) == pytest.approx(-0.6, abs=1e-12)
-        assert sample.token_count == 3
+        assert len(sample.token_logprobs) == 3
 
     def test_invalid_finish_reason(self):
         with pytest.raises(PreconditionError):
@@ -174,10 +174,10 @@ class TestSyntheticModel:
     def test_rollout_carries_answer_when_deep_enough(self, two_arm_model):
         roll = two_arm_model.rollout("Pick.\nconsider arm A\n", 5, rng_for(7))
         assert roll.text.endswith("Answer: A")
-        assert roll.token_count == 5
+        assert len(roll.token_logprobs) == 5
         shallow = two_arm_model.rollout("Pick.\nconsider arm A\n", 2, rng_for(7))
         assert "Answer" not in shallow.text
-        assert shallow.token_count == 2
+        assert len(shallow.token_logprobs) == 2
 
     def test_armless_completion_rate_is_uniform(self, two_arm_model):
         hits = sum(
@@ -189,7 +189,7 @@ class TestSyntheticModel:
     def test_max_tokens_truncates_to_length_finish(self, two_arm_model):
         step = two_arm_model.propose_step("Pick.\n", rng_for(8), max_tokens=2, sample_index=0)
         assert step.finish_reason == FINISH_LENGTH
-        assert step.token_count == 2
+        assert len(step.token_logprobs) == 2
 
     def test_same_substream_is_reproducible(self, two_arm_model):
         a = two_arm_model.rollout("Pick.\nconsider arm A\n", 6, rng_for(9, 1))

@@ -19,7 +19,6 @@ from driftbeam.baselines import (
     STOP_COMPLETED,
     STOP_CONSENSUS,
     cluster_candidates,
-    combine_scores,
     phi_alignment,
     phi_judge,
 )
@@ -43,11 +42,11 @@ def mk_candidate(answer=None, quality=0.0, index=0):
     )
 
 
-def judge(candidates, delta=0.6, parent_quality=0.0):
+def judge(candidates, delta=0.6, parent_quality=0.0, alignment_weight=1.0):
     """phi_judge over candidates that all extend one path of the given quality."""
     beam = BeamState(paths=[BeamPath(path_id=0, prefix="Q\n", quality=parent_quality)])
-    return phi_judge(candidates, beam, phi=PhiConfig(delta=delta),
-                     answer_pattern=DEFAULT_ANSWER_PATTERN)
+    phi = PhiConfig(delta=delta, alignment_weight=alignment_weight)
+    return phi_judge(candidates, beam, phi=phi, answer_pattern=DEFAULT_ANSWER_PATTERN)
 
 
 class TestPhiAdvantage:
@@ -70,23 +69,33 @@ class TestPhiAdvantage:
 class TestPhiConfig:
     def test_defaults(self):
         phi = PhiConfig()
-        assert phi.delta == 0.6 and phi.combine_mode == "sum"
+        assert phi.delta == 0.6 and phi.alignment_weight == 1.0
 
     def test_validation(self):
         with pytest.raises(PreconditionError):
             PhiConfig(delta=-0.1)
-        with pytest.raises(PreconditionError):
-            PhiConfig(combine_mode="product")
         with pytest.raises(PreconditionError):
             PhiConfig(cluster_distance=-1.0)
 
     def test_delta_above_one_is_legal_disable(self):
         assert PhiConfig(delta=1.5).delta == 1.5
 
-    def test_combine_modes(self):
-        assert combine_scores(0.2, 0.5, PhiConfig()) == pytest.approx(0.7)
-        weighted = PhiConfig(combine_mode="weighted-sum", alignment_weight=0.25)
-        assert combine_scores(0.2, 0.5, weighted) == pytest.approx(0.325)
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alignment_weight_rejected(self, weight):
+        with pytest.raises(PreconditionError, match="alignment_weight must be finite"):
+            PhiConfig(alignment_weight=weight)
+
+    def test_alignment_weight_scales_alignment(self):
+        cands = [mk_candidate("A", 0.5, 0), mk_candidate("B", 0.2, 1), mk_candidate("A", -0.1, 2)]
+        for weight in (0.25, 0.0):
+            combined, fields, _ = judge(cands, alignment_weight=weight)
+            assert fields["alignment"] == [2 / 3, 1 / 3, 2 / 3]
+            assert combined == [adv + weight * ali
+                                for adv, ali in zip(fields["advantage"], fields["alignment"])]
+        # The default weight, 1.0, adds the alignment exactly.
+        combined, fields, _ = judge(cands)
+        assert combined == [adv + ali
+                            for adv, ali in zip(fields["advantage"], fields["alignment"])]
 
 
 class TestClustering:

@@ -62,7 +62,6 @@ OVERRIDES = [
     (["--selection", "uniform"], "decode.selection", "uniform"),
     (["--no-prune"], "decode.prune_enabled", False),
     (["--method", "phi", "--delta", "0.4"], "phi.delta", 0.4),
-    (["--method", "phi", "--combine-mode", "weighted-sum"], "phi.combine_mode", "weighted-sum"),
     (["--method", "phi", "--alignment-weight", "0.5"], "phi.alignment_weight", 0.5),
     (["--method", "phi", "--cluster-distance", "0.1"], "phi.cluster_distance", 0.1),
     (["--dataset", "synthetic:3"], "dataset", "synthetic:3"),
@@ -361,6 +360,17 @@ class TestStats:
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("line, kind", [("5", "int"), ("[1, 2]", "list"),
+                                            ('"expand"', "str")])
+    def test_line_that_is_not_an_object_is_error_record(self, capfd, tmp_path, line, kind):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"event": "stop", "step": 1}\n\n' + line + "\n")
+        code, out, err = run_cli(capfd, "stats", str(path))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DatasetError"
+        assert record["message"] == f"{path}:3: a trace line must be a JSON object, got {kind}"
+
 
 class TestCompare:
     def test_two_bench_outputs(self, capfd, tmp_path):
@@ -400,6 +410,20 @@ class TestCompare:
         record = json.loads(err)
         assert record["error"] == "DatasetError"
         assert "tokens_generated" in record["message"]
+
+    def test_counts_its_examples_do_not_give_are_error_record(self, capfd, tmp_path):
+        a_dir = tmp_path / "a"
+        run_cli(capfd, "bench", "--dataset", "synthetic:1", "--seed", "13",
+                "--out", str(a_dir), *FAST)
+        payload = json.loads((a_dir / "metrics.json").read_text())
+        payload["metrics"].update(total=5, correct=4)
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capfd, "compare", str(path), str(a_dir / "metrics.json"))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DatasetError"
+        assert record["message"].startswith("RunMetrics record: correct is 4")
 
     def test_mismatched_sets_error(self, capfd, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

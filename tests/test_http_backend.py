@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from driftbeam import PreconditionError, ProtocolError, TransportError
+from driftbeam.backends import http as http_backend
 from driftbeam.backends.http import HttpCompletionsModel, split_base_url
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,6 +120,16 @@ def no_proxy_variables(monkeypatch):
     for name in PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries sleep 0.01 s, not 0.5 s, before the first retry."""
+    monkeypatch.setattr(http_backend, "BACKOFF_S", 0.01)
+
+
+def set_retries(monkeypatch, count):
+    monkeypatch.setattr(http_backend, "MAX_RETRIES", count)
 
 
 @pytest.fixture
@@ -250,7 +261,6 @@ def address(server):
 
 
 def make_model(server, **kwargs):
-    kwargs.setdefault("backoff", 0.01)
     return HttpCompletionsModel(f"http://{address(server)}", "stub-model", **kwargs)
 
 
@@ -326,9 +336,10 @@ class TestRetries:
         assert model.replayable is False
         assert len(server.requests) == 2
 
-    def test_exhausted_retries_raise_transport_error(self, server):
+    def test_exhausted_retries_raise_transport_error(self, server, monkeypatch):
         server.plan = (500, {"error": "down"})
-        model = make_model(server, max_retries=2)
+        set_retries(monkeypatch, 2)
+        model = make_model(server)
         with pytest.raises(TransportError, match="after 2 retries"):
             model.complete("Q\n", 8, rng())
         assert len(server.requests) == 3  # initial try + 2 retries
@@ -338,10 +349,9 @@ class TestRetries:
         model.complete("Q\n", 8, rng())
         assert model.replayable is True
 
-    def test_connection_refused_is_transport_error(self):
-        model = HttpCompletionsModel(
-            "http://127.0.0.1:9", "stub", max_retries=1, backoff=0.01
-        )
+    def test_connection_refused_is_transport_error(self, monkeypatch):
+        set_retries(monkeypatch, 1)
+        model = HttpCompletionsModel("http://127.0.0.1:9", "stub")
         with pytest.raises(TransportError):
             model.complete("Q\n", 8, rng())
 
@@ -457,13 +467,14 @@ class TestConnection:
         assert len({r["port"] for r in keepalive_server.requests}) == 2
         assert model.replayable is True
 
-    def test_slow_reply_hits_read_timeout(self, keepalive_server):
+    def test_slow_reply_hits_read_timeout(self, keepalive_server, monkeypatch):
         def slow(body):
             time.sleep(0.5)
             return 200, completions_payload()
 
         keepalive_server.plan = slow
-        model = make_model(keepalive_server, timeout=0.1, max_retries=0)
+        set_retries(monkeypatch, 0)
+        model = make_model(keepalive_server, timeout=0.1)
         with pytest.raises(TransportError, match="timed out"):
             model.complete("Q\n", 8, rng())
 
@@ -560,9 +571,11 @@ class TestFraming:
         (b"SPDY 200 OK\r\n\r\n", False, "BadStatusLine"),
         (b"", True, "RemoteDisconnected"),
     ])
-    def test_bad_framing_is_retried_then_transport_error(self, raw_server, reply, close, error):
+    def test_bad_framing_is_retried_then_transport_error(self, raw_server, reply, close, error,
+                                                         monkeypatch):
         raw_server.plan = [(reply, close)]
-        model = make_model(raw_server, max_retries=2)
+        set_retries(monkeypatch, 2)
+        model = make_model(raw_server)
         with pytest.raises(TransportError, match=f"after 2 retries .*{error}"):
             model.complete("Q\n", 8, rng())
         assert len(raw_server.requests) == 3
@@ -685,7 +698,8 @@ class TestProxy:
     def test_http_proxy_gets_absolute_url(self, proxy_server, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", f"http://{address(proxy_server)}")
         # Nothing listens on port 9: only the proxy can answer.
-        model = HttpCompletionsModel("http://127.0.0.1:9/serve", "stub-model", max_retries=0)
+        set_retries(monkeypatch, 0)
+        model = HttpCompletionsModel("http://127.0.0.1:9/serve", "stub-model")
         model.complete("Q\n", 8, rng())
         [request] = proxy_server.requests
         assert request["path"] == "http://127.0.0.1:9/serve/v1/completions"
@@ -700,15 +714,16 @@ class TestProxy:
 
 
 class TestTls:
-    def test_unverified_self_signed_server(self, tls_server):
+    def test_unverified_self_signed_server(self, tls_server, monkeypatch):
+        set_retries(monkeypatch, 0)
         model = HttpCompletionsModel(f"https://{address(tls_server)}", "stub-model",
-                                     verify_tls=False, max_retries=0)
+                                     verify_tls=False)
         assert model.complete("Q\n", 8, rng()).text == "deliberate 2\n"
         assert len(tls_server.requests) == 1
 
-    def test_verified_self_signed_server_fails(self, tls_server):
-        model = HttpCompletionsModel(f"https://{address(tls_server)}", "stub-model",
-                                     max_retries=0)
+    def test_verified_self_signed_server_fails(self, tls_server, monkeypatch):
+        set_retries(monkeypatch, 0)
+        model = HttpCompletionsModel(f"https://{address(tls_server)}", "stub-model")
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
             model.complete("Q\n", 8, rng())
         assert tls_server.requests == []

@@ -112,7 +112,7 @@ def ex(task_id, predicted, gold, tokens=10, stop_step=2, prune_count=0):
 
 class TestRunMetrics:
     def test_from_examples(self):
-        metrics = RunMetrics.from_examples(
+        metrics = RunMetrics(
             [ex("t1", "4", "4", tokens=30), ex("t2", "5", "4", tokens=20)],
             model_params=1_000_000,
         )
@@ -122,24 +122,51 @@ class TestRunMetrics:
         assert metrics.accuracy_value == pytest.approx(0.5)
 
     def test_grading_uses_normalization(self):
-        metrics = RunMetrics.from_examples(
+        metrics = RunMetrics(
             [ex("t1", "4.0", "4"), ex("t2", '"b"', "B")], model_params=10
         )
         assert metrics.correct == 2
 
     def test_flops_invariant_enforced(self):
+        # flops is derived, never taken: a record whose flops is not
+        # 6 * tokens * params is rejected when read.
+        record = RunMetrics([ex("t1", "4", "4", tokens=10)], model_params=10).to_dict()
+        record["flops"] = 599
+        with pytest.raises(DatasetError, match="flops is 599, its examples give 600"):
+            RunMetrics.from_dict(record)
+        with pytest.raises(TypeError):
+            RunMetrics((), model_params=10, flops=599)
+
+    @pytest.mark.parametrize("stale, named", [
+        ({"total": 5, "correct": 4, "tokens_generated": 20}, "correct is 4, its examples give 1"),
+        ({"tokens_generated": 21, "flops": 6 * 21 * 123}, "tokens_generated is 21"),
+        ({"correct": 0}, "correct is 0, its examples give 1"),
+        ({"total": 5}, "total is 5, its examples give 1"),
+    ])
+    def test_from_dict_rejects_counts_its_examples_do_not_give(self, stale, named):
+        record = RunMetrics([ex("t1", "4", "4", tokens=20)], model_params=123).to_dict()
+        record.update(stale)
+        with pytest.raises(DatasetError, match=re.escape(named)):
+            RunMetrics.from_dict(record)
+
+    def test_counts_derived_once(self):
+        metrics = RunMetrics([ex("t1", "4", "4", tokens=7)], model_params=3)
+        assert isinstance(metrics.per_example, tuple)
+        assert (metrics.tokens_generated, metrics.flops, metrics.correct, metrics.total) == (
+            7, 126, 1, 1)
         with pytest.raises(PreconditionError):
-            RunMetrics(tokens_generated=10, model_params=10, flops=599,
-                       correct=0, total=0, per_example=())
+            RunMetrics([ex("t1", "4", "4", tokens=-1)], model_params=3)
+        with pytest.raises(PreconditionError):
+            RunMetrics([], model_params=0)
 
     def test_roundtrip(self):
-        metrics = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123)
+        metrics = RunMetrics([ex("t1", "4", "4")], model_params=123)
         assert RunMetrics.from_dict(metrics.to_dict()) == metrics
 
     def test_to_dict_is_json_shaped(self):
         # What a reader of metrics.json gets back must equal to_dict() itself:
         # per_example a list of plain mappings, not a tuple.
-        metrics = RunMetrics.from_examples(
+        metrics = RunMetrics(
             [ex("t1", "4", "4"), ex("t2", "5", "4", tokens=3)], model_params=123
         )
         record = metrics.to_dict()
@@ -154,7 +181,7 @@ class TestRunMetrics:
         ],
     )
     def test_from_dict_names_bad_keys(self, change, named):
-        record = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123).to_dict()
+        record = RunMetrics([ex("t1", "4", "4")], model_params=123).to_dict()
         change(record)
         with pytest.raises(DatasetError, match=re.escape(named)):
             RunMetrics.from_dict(record)
@@ -172,7 +199,7 @@ class TestRunMetrics:
         ],
     )
     def test_from_dict_names_bad_values(self, change, named):
-        record = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=123).to_dict()
+        record = RunMetrics([ex("t1", "4", "4")], model_params=123).to_dict()
         change(record)
         with pytest.raises(DatasetError, match=re.escape(named)):
             RunMetrics.from_dict(record)
@@ -184,11 +211,11 @@ class TestRunMetrics:
 
 class TestCompareRuns:
     def _runs(self):
-        a = RunMetrics.from_examples(
+        a = RunMetrics(
             [ex("t1", "4", "4", tokens=100), ex("t2", "9", "9", tokens=150)],
             model_params=8_000_000_000,
         )
-        b = RunMetrics.from_examples(
+        b = RunMetrics(
             [ex("t1", "4", "4", tokens=180), ex("t2", "0", "9", tokens=190)],
             model_params=8_000_000_000,
         )
@@ -204,32 +231,30 @@ class TestCompareRuns:
 
     def test_pinned_ratio(self):
         # 8,354,167 tokens against 5,687,500 at the same parameter count.
-        a = RunMetrics.from_examples([ex("t1", "4", "4", tokens=5_687_500)],
-                                     model_params=8_000_000_000)
-        b = RunMetrics.from_examples([ex("t1", "4", "4", tokens=8_354_167)],
-                                     model_params=8_000_000_000)
+        a = RunMetrics([ex("t1", "4", "4", tokens=5_687_500)], model_params=8_000_000_000)
+        b = RunMetrics([ex("t1", "4", "4", tokens=8_354_167)], model_params=8_000_000_000)
         assert a.flops == 273_000_000_000_000_000
         assert compare_runs(a, b).flops_ratio == pytest.approx(1.468864, abs=1e-4)
 
     def test_mismatched_tasks_rejected(self):
-        a = RunMetrics.from_examples([ex("t1", "4", "4")], model_params=10)
-        b = RunMetrics.from_examples([ex("t2", "4", "4")], model_params=10)
+        a = RunMetrics([ex("t1", "4", "4")], model_params=10)
+        b = RunMetrics([ex("t2", "4", "4")], model_params=10)
         with pytest.raises(DatasetError):
             compare_runs(a, b)
 
     def test_zero_cost_run_flagged_infinite(self):
-        a = RunMetrics.from_examples([ex("t1", "4", "4", tokens=0)], model_params=10)
-        b = RunMetrics.from_examples([ex("t1", "4", "4", tokens=10)], model_params=10)
+        a = RunMetrics([ex("t1", "4", "4", tokens=0)], model_params=10)
+        b = RunMetrics([ex("t1", "4", "4", tokens=10)], model_params=10)
         cmp = compare_runs(a, b)
         assert math.isinf(cmp.flops_ratio)
         assert cmp.flagged is True
         assert cmp.to_dict()["flops_ratio"] == "inf"
 
     def test_deltas_sorted_by_task_id(self):
-        a = RunMetrics.from_examples(
+        a = RunMetrics(
             [ex("z", "1", "1", tokens=5), ex("a", "1", "1", tokens=7)], model_params=10
         )
-        b = RunMetrics.from_examples(
+        b = RunMetrics(
             [ex("a", "1", "1", tokens=2), ex("z", "1", "1", tokens=2)], model_params=10
         )
         cmp = compare_runs(a, b)
@@ -238,11 +263,11 @@ class TestCompareRuns:
 
 class TestReports:
     def _table(self):
-        gsm = RunMetrics.from_examples(
+        gsm = RunMetrics(
             [ex("g1", "4", "4", tokens=10), ex("g2", "5", "4", tokens=10)],
             model_params=1_000_000,
         )
-        arc = RunMetrics.from_examples(
+        arc = RunMetrics(
             [ex("a1", "B", "B", tokens=20)], model_params=1_000_000
         )
         return {"mfs": {"gsm": gsm, "arc": arc}, "ar-cot": {"gsm": gsm}}

@@ -9,6 +9,7 @@ import pytest
 
 from driftbeam import DecodeConfig, PhiConfig, PreconditionError, TaskInstance
 from driftbeam.backends.base import FINISH_EOS, StepSample
+from driftbeam.backends.http import HttpCompletionsModel
 from driftbeam.backends.scripted import fixture_key, save_fixture
 from driftbeam.metrics import canonical_json, parse_report
 from driftbeam.runner import (
@@ -53,7 +54,6 @@ BAD_SECTION_VALUES = [
     ("decode", "selection", 1),
     ("decode", "prune_enabled", "no"),
     ("phi", "delta", "x"),
-    ("phi", "combine_mode", 1),
     ("phi", "alignment_weight", None),
     ("phi", "cluster_distance", False),
 ]
@@ -326,6 +326,22 @@ class TestEnvOverrides:
         config = parse_config({})
         assert config.backend.base_url is None
 
+    def test_http_backend_model_built_from_config(self, monkeypatch):
+        for name in (ENV_BASE_URL, ENV_MODEL):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(ENV_API_KEY, "env-token")
+        config = parse_config({"backend": {
+            "kind": "http", "base_url": "http://h:8000/serve", "model": "m",
+            "model_temperature": 0.2, "timeout": 5, "auth_header": "X-Api-Key",
+        }})
+        model = config.backend.make_model()
+        assert isinstance(model, HttpCompletionsModel)
+        assert (model.base_url, model.model) == ("http://h:8000/serve", "m")
+        assert (model.temperature, model.timeout) == (0.2, 5)
+        head = model._head.split(b"\r\n")
+        assert head[0] == b"POST /serve/v1/completions HTTP/1.1"
+        assert b"X-Api-Key: Bearer env-token" in head
+
     def test_serializer_never_emits_token(self, monkeypatch):
         monkeypatch.setenv(ENV_API_KEY, "sekrit")
         config = parse_config({
@@ -349,8 +365,7 @@ class TestRoundTrip:
             {"decode": {"epsilon_stop": None, "selection": "uniform"}},
             {"backend": {"kind": "http", "base_url": "http://h", "model": "m",
                          "timeout": 5.0, "verify_tls": False}},
-            {"method": "phi", "phi": {"combine_mode": "weighted-sum",
-                                      "alignment_weight": 0.5}},
+            {"method": "phi", "phi": {"alignment_weight": 0.5}},
         ],
     )
     def test_parse_serialize_fixed_point(self, source, monkeypatch):
@@ -389,9 +404,29 @@ class TestRoundTrip:
 
     def test_bad_grid(self):
         with pytest.raises(PreconditionError, match="not sweepable"):
-            parse_config({"grid": {"temperature": [0.5]}})
+            parse_config({"grid": {"seed": [1, 2]}})
+        with pytest.raises(PreconditionError, match="not sweepable"):
+            parse_config({"grid": {"beam": [2]}})
         with pytest.raises(PreconditionError, match="non-empty list"):
             parse_config({"grid": {"lambda1": []}})
+
+    def test_grid_takes_any_decode_field_but_seed(self):
+        grid = {"temperature": [0.5, 2.0], "selection": ["softmax", "uniform"],
+                "prune_enabled": [True, False], "rollout_samples": [1, 2]}
+        assert parse_config({"grid": grid}).grid == {k: tuple(v) for k, v in grid.items()}
+
+    @pytest.mark.parametrize("grid, named", [
+        ({"temperature": [1.0, 0.0]}, "temperature must be finite > 0"),
+        ({"selection": ["softmax", "greedy"]}, "selection must be in"),
+        ({"beam_size": ["2"]}, "decode beam_size must be int"),
+        # Each value is valid alone; one combination is not.
+        ({"N": [1, 2], "rollout_samples": [2]}, "rollout_samples must be in"),
+    ])
+    def test_every_grid_point_checked_when_the_config_is_built(self, grid, named):
+        with pytest.raises(PreconditionError, match=named):
+            parse_config({"grid": grid})
+        with pytest.raises(PreconditionError, match=named):
+            RunConfig(grid=grid)
 
 
 class TestInstanceSeeds:
@@ -665,18 +700,11 @@ class TestWriteOutputs:
         assert lines == [canonical_json({"result": result.to_dict(), "task": task_id})
                          for task_id, result in output.traces]
 
-    def test_label_prefix(self, tmp_path):
-        out_dir = tmp_path / "out"
-        config = fast_config(seed=6, output_dir=str(out_dir))
-        execute_run(config, label="pilot")
-        assert (out_dir / "pilot-metrics.json").exists()
-        assert (out_dir / "pilot-traces.jsonl").exists()
-
 
 class TestSweep:
     def test_points_order_and_seeds(self):
-        config = fast_config(seed=10)
-        points = sweep(config, {"beam_size": [2, 3], "lambda1": [0.4, 0.8]})
+        config = fast_config(seed=10, grid={"beam_size": [2, 3], "lambda1": [0.4, 0.8]})
+        points = sweep(config)
         assert [p.label for p in points] == [
             "beam_size=2,lambda1=0.4",
             "beam_size=2,lambda1=0.8",
@@ -696,8 +724,8 @@ class TestSweep:
 
     def test_sweep_outputs(self, tmp_path):
         out_dir = tmp_path / "sweep"
-        config = fast_config(seed=11, output_dir=str(out_dir))
-        points = sweep(config, {"lambda1": [0.4, 0.8]})
+        config = fast_config(seed=11, output_dir=str(out_dir), grid={"lambda1": [0.4, 0.8]})
+        points = sweep(config)
         listed = json.loads((out_dir / "sweep-points.json").read_bytes())
         assert [p["label"] for p in listed] == [p.label for p in points]
         assert [p["seed"] for p in listed] == [11, 12]
@@ -715,11 +743,12 @@ class TestSweep:
             "decode": {"beam_size": 4, "rollouts_per_candidate": 4,
                        "rollout_depth": 4, "max_steps": 8},
         })
-        low, high = sweep(config, {"lambda1": [0.0, 2.0]})
+        low, high = sweep(config.replace(grid={"lambda1": [0.0, 2.0]}))
         assert low.metrics.tokens_generated <= high.metrics.tokens_generated
 
     def test_epsilon_direction_tokens_non_increasing(self):
         # A looser epsilon stops earlier, so tokens shrink as epsilon grows.
-        config = fast_config(seed=41, dataset="synthetic:6")
-        tight, loose = sweep(config, {"epsilon_stop": [1e-6, 1000.0]})
+        config = fast_config(seed=41, dataset="synthetic:6",
+                             grid={"epsilon_stop": [1e-6, 1000.0]})
+        tight, loose = sweep(config)
         assert loose.metrics.tokens_generated <= tight.metrics.tokens_generated
