@@ -8,10 +8,13 @@ stopping rule, and deliberation halts once the best available drift is
 indistinguishable from zero. Consensus-stopped foresight and plain
 autoregressive completion ship as controlled baselines, with exact FLOPs
 and accuracy accounting on top.
+
+Importing the package loads numpy and the standard library modules that a
+synthetic or scripted decode uses. HttpCompletionsModel, PyYAML and the
+thread pool are loaded the first time a run needs them.
 """
 
 from .backends import (
-    HttpCompletionsModel,
     RecordingModel,
     ScriptedModel,
     SequenceModel,
@@ -70,6 +73,15 @@ from .runner import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "HttpCompletionsModel":
+        from .backends.http import HttpCompletionsModel
+
+        return HttpCompletionsModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BackendSpec",

@@ -1,4 +1,8 @@
-"""Sequence-model backends: synthetic oracle, scripted replay, HTTP client."""
+"""Sequence-model backends: synthetic oracle, scripted replay, HTTP client.
+
+HttpCompletionsModel is loaded on first access: its module imports
+http.client and ssl, which a synthetic or scripted run never uses.
+"""
 
 from .base import (
     FINISH_DELIMITER,
@@ -8,7 +12,6 @@ from .base import (
     StepSample,
     quality_of,
 )
-from .http import HttpCompletionsModel
 from .scripted import (
     RecordingModel,
     ScriptedModel,
@@ -34,3 +37,11 @@ __all__ = [
     "SyntheticModel",
     "SyntheticTask",
 ]
+
+
+def __getattr__(name: str):
+    if name == "HttpCompletionsModel":
+        from .http import HttpCompletionsModel
+
+        return HttpCompletionsModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

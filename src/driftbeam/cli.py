@@ -159,26 +159,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _leaf_advantage_chains(events: list[dict]) -> list[list[float]]:
-    """Survivor trajectories' advantage sequences from one run's events."""
+def _leaf_advantage_chains(events: list[tuple[str, dict]]) -> list[list[float]]:
+    """Survivor trajectories' advantage sequences from one run's events,
+    each paired with the `path:line` it was read from. An event that is
+    malformed, a select that names a candidate no expand of its step
+    listed, a drift that is not a finite number, or parent links that form a
+    cycle are a DatasetError naming the line."""
     expands: dict[int, list[tuple[int, int]]] = {}
-    scores: dict[int, list[float]] = {}
-    links: dict[int, tuple[Optional[int], float]] = {}
+    scores: dict[int, tuple[str, list[float]]] = {}
+    links: dict[int, tuple[Optional[int], float, str]] = {}
     parents: set[int] = set()
-    for event in events:
-        step = event.get("step")
-        kind = event.get("event")
-        if kind == "expand":
-            expands[step] = [(c["parent"], c["index"]) for c in event["candidates"]]
-        elif kind == "score":
-            scores[step] = event.get("drifts") or event.get("advantage") or []
-        elif kind == "select":
-            for chosen in event["selected"]:
-                key = (chosen["parent"], chosen["index"])
-                position = expands.get(step, []).index(key)
-                drift = scores.get(step, [])[position]
-                links[chosen["path_id"]] = (chosen["parent"], drift)
-                parents.add(chosen["parent"])
+    for where, event in events:
+        try:
+            step = event.get("step")
+            kind = event.get("event")
+            if kind == "expand":
+                expands[step] = [(c["parent"], c["index"]) for c in event["candidates"]]
+            elif kind == "score":
+                scores[step] = (where, event.get("drifts") or event.get("advantage") or [])
+            elif kind == "select":
+                expanded = expands.get(step, [])
+                for chosen in event["selected"]:
+                    key = (chosen["parent"], chosen["index"])
+                    if key not in expanded:
+                        raise DatasetError(f"{where}: select names candidate {key}, "
+                                           f"which no expand event of step {step} lists")
+                    scored_at, drifts = scores.get(step, (where, []))
+                    drift = drifts[expanded.index(key)]
+                    if type(drift) not in (int, float) or not abs(drift) <= sys.float_info.max:
+                        raise DatasetError(f"{scored_at}: drift {drift!r} of candidate {key} "
+                                           "is not a finite number")
+                    links[chosen["path_id"]] = (chosen["parent"], drift, where)
+                    parents.add(chosen["parent"])
+        except DatasetError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"{where}: malformed trace event "
+                               f"({type(exc).__name__}: {exc})") from None
     chains = []
     for path_id in links:
         if path_id in parents:
@@ -186,8 +203,10 @@ def _leaf_advantage_chains(events: list[dict]) -> list[list[float]]:
         chain: list[float] = []
         cursor: Optional[int] = path_id
         while cursor is not None and cursor in links:
-            parent, drift = links[cursor]
+            parent, drift, where = links[cursor]
             chain.append(drift)
+            if len(chain) > len(links):
+                raise DatasetError(f"{where}: path {cursor} descends from itself")
             cursor = parent
         chains.append(list(reversed(chain)))
     return chains
@@ -196,17 +215,22 @@ def _leaf_advantage_chains(events: list[dict]) -> list[list[float]]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     sequences: list[list[float]] = []
     for path in args.traces:
-        runs: dict[str, list[dict]] = {}
+        runs: dict[str, list[tuple[str, dict]]] = {}
         for line_no, _, record in read_json_lines(path, DatasetError):
+            where = f"{path}:{line_no}"
             if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{line_no}: a trace line must be a JSON object, "
+                raise DatasetError(f"{where}: a trace line must be a JSON object, "
                                    f"got {type(record).__name__}")
             if "result" in record:
+                result = record["result"]
+                trace = result.get("trace", []) if isinstance(result, dict) else None
+                if not isinstance(trace, list):
+                    raise DatasetError(f"{where}: a result must be a JSON object "
+                                       "whose trace is a list")
                 runs.setdefault(str(record.get("task")), []).extend(
-                    record["result"].get("trace", [])
-                )
+                    (where, event) for event in trace)
             else:
-                runs.setdefault("", []).append(record)
+                runs.setdefault("", []).append((where, record))
         for events in runs.values():
             sequences.extend(_leaf_advantage_chains(events))
     sys.stdout.buffer.write(canonical_json(trajectory_statistics(sequences)) + b"\n")

@@ -208,8 +208,19 @@ def check_field_types(config, section: str) -> None:
     not a TypeError deep inside a decode or a string read as true."""
     for name, annotation, kinds in _typed_fields(type(config)):
         value = getattr(config, name)
-        if type(value) not in kinds:
+        if type(value) not in kinds or (type(value) is int and float in kinds
+                                        and not _fits_float(value)):
             raise PreconditionError(f"{section} {name} must be {annotation}, got {value!r}")
+
+
+def _fits_float(value: int) -> bool:
+    """Whether a float field's int converts: JSON ints reach past the float
+    range, where math.isfinite and float() raise OverflowError."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 SELECTIONS = ("softmax", "uniform")
@@ -232,7 +243,7 @@ def parse_epsilon(value) -> Optional[float]:
         return None
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"epsilon_stop must be a number or one of "
                                 f"{EPSILON_DISABLED}, got {value!r}") from None
 

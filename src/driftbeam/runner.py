@@ -13,6 +13,10 @@ instance j inside a run decodes with a 64-bit seed drawn from the
 substream (run_seed, instance tag, j). Instances may execute on a worker
 pool; aggregation sorts by instance id, so worker count never changes a
 byte of the outputs.
+
+PyYAML, the HTTP backend and the thread pool are imported inside the code
+that uses them, so a run that reads no config file, talks to no server and
+runs one worker does not load them.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-import yaml
 
 from .backends.base import SequenceModel, StepSample
-from .backends.http import HttpCompletionsModel, split_base_url
 from .backends.scripted import ScriptedModel, load_fixture, parse_fixture
 from .backends.synthetic import SyntheticModel, SyntheticTask
 from .baselines import PhiConfig, ar_cot_decode, phi_decode
@@ -116,7 +117,11 @@ class BackendSpec:
                 raise PreconditionError(
                     f"backend drifts must be a list of numbers, got {self.drifts!r}"
                 )
-            object.__setattr__(self, "drifts", tuple(float(d) for d in self.drifts))
+            try:
+                object.__setattr__(self, "drifts", tuple(float(d) for d in self.drifts))
+            except OverflowError:  # an integer beyond the float range
+                raise PreconditionError(
+                    f"backend drifts must be finite, got {self.drifts!r}") from None
         for name, values in (("drift", (self.drift,)), ("noise_std", (self.noise_std,)),
                              ("drifts", self.drifts or ())):
             if not all(map(math.isfinite, values)):
@@ -134,6 +139,8 @@ class BackendSpec:
         if self.kind == "http" and not (self.base_url and self.model):
             raise PreconditionError("http backend requires base_url and model")
         if self.base_url is not None:
+            from .backends.http import split_base_url
+
             split_base_url(self.base_url)
 
     def base_task(self) -> SyntheticTask:
@@ -159,6 +166,8 @@ class BackendSpec:
             return SyntheticModel(task or self.base_task())
         if self.kind == "scripted":
             return ScriptedModel(_cached_fixture(str(self.fixture)))
+        from .backends.http import HttpCompletionsModel
+
         return HttpCompletionsModel(
             self.base_url,
             self.model,
@@ -244,6 +253,8 @@ def _check_keys(section: Mapping, cls: type, where: str) -> None:
 def load_config_file(path: Union[str, Path]) -> dict:
     """The mapping a YAML config file holds, {} for an empty file. A file
     that is not UTF-8 or not YAML is a PreconditionError naming it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
@@ -290,10 +301,9 @@ def parse_config(source: Union[str, Path, Mapping]) -> RunConfig:
     if "seed" in decode_raw:
         raise PreconditionError("decode.seed is derived from the run seed; set top-level seed")
     _check_keys(decode_raw, DecodeConfig, "decode")
+    # RunConfig rejects a preset that is not one of PRESETS' names.
     preset = raw.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise PreconditionError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    if isinstance(preset, str) and preset in PRESETS:
         decode_raw = {**PRESETS[preset], **decode_raw}
     if "epsilon_stop" in decode_raw:
         decode_raw["epsilon_stop"] = parse_epsilon(decode_raw["epsilon_stop"])
@@ -325,6 +335,8 @@ def serialize_config(config: RunConfig) -> dict:
 
 
 def config_to_yaml(config: RunConfig) -> str:
+    import yaml
+
     return yaml.safe_dump(serialize_config(config), sort_keys=True)
 
 
@@ -425,6 +437,8 @@ def execute_run(
             return instance.id, exc
 
     if config.workers > 1 and pairs:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(one, enumerate(pairs)))
     else:

@@ -372,6 +372,37 @@ class TestStats:
         assert record["message"] == f"{path}:3: a trace line must be a JSON object, got {kind}"
 
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"result": 5, "task": "t"}'],
+         "2: a result must be a JSON object whose trace is a list"),
+        (['{"event": "expand", "step": 1}'],
+         "2: malformed trace event (KeyError: 'candidates')"),
+        (['{"event": "select", "step": 1, "selected": [{"index": 0, "parent": 0, "path_id": 1}]}'],
+         "2: select names candidate (0, 0), which no expand event of step 1 lists"),
+        (['{"candidates": [{"index": 0, "parent": 2}, {"index": 0, "parent": 1}, '
+          '{"index": 1, "parent": 1}], "event": "expand", "step": 1}',
+          '{"drifts": [0.1, 0.2, 0.3], "event": "score", "step": 1}',
+          '{"event": "select", "selected": [{"index": 0, "parent": 2, "path_id": 1}, '
+          '{"index": 0, "parent": 1, "path_id": 2}, {"index": 1, "parent": 1, "path_id": 3}], '
+          '"step": 1}'],
+         "4: path 1 descends from itself"),
+        *[(['{"candidates": [{"index": 0, "parent": 0}], "event": "expand", "step": 1}',
+            '{"drifts": [%s], "event": "score", "step": 1}' % drift,
+            '{"event": "select", "selected": [{"index": 0, "parent": 0, "path_id": 1}], '
+            '"step": 1}'],
+           f"3: drift {shown} of candidate (0, 0) is not a finite number")
+          for drift, shown in (('"x"', "'x'"), ("NaN", "nan"), ("1" + "0" * 400, "1" + "0" * 400))],
+    ], ids=["result-not-object", "expand-without-candidates", "select-without-expand",
+            "parent-cycle", "drift-string", "drift-nan", "drift-beyond-float-range"])
+    def test_malformed_event_is_error_record_naming_its_line(self, capfd, tmp_path,
+                                                               lines, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"event": "stop", "step": 1}\n' + "\n".join(lines) + "\n")
+        code, out, err = run_cli(capfd, "stats", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "DatasetError", "message": f"{path}:{message}"}
+
+
 class TestCompare:
     def test_two_bench_outputs(self, capfd, tmp_path):
         a_dir, b_dir = tmp_path / "mfs", tmp_path / "arcot"

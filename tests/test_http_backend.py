@@ -3,6 +3,7 @@
 import contextlib
 import http.client
 import json
+import math
 import os
 import shutil
 import socket
@@ -16,9 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import json_values
 from driftbeam import PreconditionError, ProtocolError, TransportError
 from driftbeam.backends import http as http_backend
+from driftbeam.backends.base import FINISH_DELIMITER
 from driftbeam.backends.http import HttpCompletionsModel, split_base_url
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -401,6 +406,34 @@ class TestProtocolErrors:
             model._parse(payload, "delimiter")
 
 
+# Completions replies as a server could send them: the expected shape with
+# any JSON value in each place, or any JSON value at all.
+_choices = st.fixed_dictionaries({
+    "text": st.text(max_size=8) | json_values,
+    "logprobs": st.fixed_dictionaries({
+        "token_logprobs": st.lists(st.floats() | st.integers(), max_size=3) | json_values,
+    }) | json_values,
+    "finish_reason": st.sampled_from(("length", "stop")) | json_values,
+})
+completions_payloads = st.fixed_dictionaries({
+    "choices": st.lists(_choices, max_size=2) | json_values,
+    "usage": st.fixed_dictionaries({
+        "completion_tokens": st.integers(min_value=0, max_value=3) | json_values,
+    }) | json_values,
+}) | json_values
+
+
+@given(completions_payloads)
+@settings(max_examples=300)
+def test_any_json_payload_parses_or_is_a_protocol_error(payload):
+    model = HttpCompletionsModel("http://127.0.0.1:9", "stub")
+    try:
+        sample = model._parse(payload, FINISH_DELIMITER)
+    except ProtocolError:
+        return
+    assert sample.quality is None or math.isfinite(sample.quality)
+
+
 class TestConcurrency:
     def test_parallel_requests_complete(self, server):
         model = make_model(server)
@@ -740,14 +773,34 @@ class TestTls:
         assert HttpCompletionsModel("http://127.0.0.1:9", "m")._tls is None
 
 
-def test_import_loads_neither_requests_nor_urllib3():
-    """The client is standard library only; importing the package must not
-    bring requests or urllib3 back (they cost set-up time and memory)."""
+# Modules that a synthetic run has no use for: the HTTP client's (requests
+# and urllib3 are not used at all), PyYAML and the thread pool.
+UNUSED_BY_SYNTHETIC_RUNS = ("requests", "urllib3", "http.client", "ssl", "email.parser",
+                            "yaml", "concurrent.futures")
+
+
+def test_synthetic_run_loads_only_what_it_uses():
+    """Importing the package and running a synthetic decode loads none of
+    UNUSED_BY_SYNTHETIC_RUNS beyond what the bare interpreter has loaded:
+    they cost set-up time and memory on every command-line run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     child = subprocess.run(
         [sys.executable, "-c",
-         "import sys, driftbeam; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+         "import sys; bare = set(sys.modules)\n"
+         "import driftbeam\n"
+         "driftbeam.execute_run(driftbeam.RunConfig(dataset='synthetic:2'))\n"
+         f"print(sorted(set({UNUSED_BY_SYNTHETIC_RUNS!r}) & (set(sys.modules) - bare)))"],
         env=env, check=True, capture_output=True, text=True, timeout=60,
     )
     assert child.stdout.strip() == "[]"
+
+
+def test_http_model_resolves_to_the_one_class():
+    import driftbeam
+    import driftbeam.backends
+
+    assert driftbeam.HttpCompletionsModel is HttpCompletionsModel
+    assert driftbeam.backends.HttpCompletionsModel is HttpCompletionsModel
+    with pytest.raises(AttributeError):
+        driftbeam.backends.NoSuchModel

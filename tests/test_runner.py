@@ -6,16 +6,21 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from driftbeam import DecodeConfig, PhiConfig, PreconditionError, TaskInstance
+from conftest import json_values
+from driftbeam import DecodeConfig, DriftbeamError, PhiConfig, PreconditionError, TaskInstance
 from driftbeam.backends.base import FINISH_EOS, StepSample
 from driftbeam.backends.http import HttpCompletionsModel
 from driftbeam.backends.scripted import fixture_key, save_fixture
 from driftbeam.metrics import canonical_json, parse_report
 from driftbeam.runner import (
+    BACKEND_KINDS,
     ENV_API_KEY,
     ENV_BASE_URL,
     ENV_MODEL,
+    METHODS,
     PRESETS,
     BackendSpec,
     RunConfig,
@@ -68,6 +73,31 @@ BAD_OPTIONAL_VALUES = [
     (BackendSpec, "backend", "auth_token", 5),
     (DecodeConfig, "decode", "epsilon_stop", [1e-6]),
 ]
+
+
+def _section(cls, values=json_values):
+    """A section mapping: mostly the keys of `cls`, now and then a stray one."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names) | st.text(max_size=3), values, max_size=4)
+
+
+# Config mappings as a YAML file or the CLI can hand to parse_config: known
+# keys with valid names mixed into any JSON values.
+_names = st.sampled_from(METHODS + BACKEND_KINDS + ("llama8b/arc", "synthetic:2", "off"))
+_values = _names | json_values
+config_mappings = st.fixed_dictionaries({}, optional={
+    "method": _values,
+    "seed": _values,
+    "workers": _values,
+    "dataset": _values,
+    "preset": _values,
+    "count_rollout_tokens": _values,
+    "backend": _section(BackendSpec, _values) | json_values,
+    "decode": _section(DecodeConfig, _values) | json_values,
+    "phi": _section(PhiConfig, _values) | json_values,
+    "grid": _section(DecodeConfig, st.lists(_values, max_size=3) | json_values)
+            | json_values,
+})
 
 
 def fast_config(**top):
@@ -268,6 +298,28 @@ class TestParseConfig:
                  for f in dataclasses.fields(cls) if f.type in optional}
         assert {(cls, key) for cls, _, key, _ in BAD_OPTIONAL_VALUES} == typed
 
+    @given(config_mappings)
+    @example({"preset": {}})  # the preset lookup raised TypeError: unhashable
+    @example({"preset": [1]})
+    @example({"decode": {"temperature": 10 ** 400}})  # isfinite raised OverflowError
+    @example({"decode": {"epsilon_stop": 10 ** 400}})
+    @example({"backend": {"drifts": [10 ** 400]}})
+    @settings(max_examples=300)
+    def test_any_json_config_loads_or_is_a_driftbeam_error(self, raw):
+        try:
+            config = parse_config(raw)
+        except DriftbeamError:
+            return
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("key, section", [
+        ("temperature", "decode"), ("lambda1", "decode"), ("drift", "backend"),
+        ("timeout", "backend"), ("delta", "phi"),
+    ])
+    def test_float_key_beyond_the_float_range_rejected_by_key(self, key, section):
+        with pytest.raises(PreconditionError, match=f"^{section} {key} must be float, got 1000"):
+            parse_config({"method": "phi", section: {key: 10 ** 400}})
+
     @pytest.mark.parametrize("base_url", ["localhost:8000", "ftp://h", "http://", "http://h:x"])
     def test_unusable_base_url_rejected(self, base_url, monkeypatch):
         monkeypatch.delenv(ENV_BASE_URL, raising=False)
@@ -302,6 +354,12 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(PreconditionError, match="unknown preset"):
             parse_config({"preset": "llama8b/sudoku"})
+
+    @pytest.mark.parametrize("preset", [{}, [1], 5])
+    def test_preset_that_is_not_a_string_rejected_by_key(self, preset):
+        message = rf"^config preset must be Optional\[str\], got {re.escape(repr(preset))}$"
+        with pytest.raises(PreconditionError, match=message):
+            parse_config({"preset": preset})
 
 
 class TestEnvOverrides:
