@@ -12,17 +12,17 @@ endpoint.
 Transport. Each thread that calls the model keeps one connection open and
 sends all of its requests over it. The standard-library `http.client` opens
 the connection: the TCP connect, a proxy's CONNECT tunnel and the TLS
-handshake, with a CONNECT_TIMEOUT_S limit; after that every read waits up
-to `timeout` seconds. The exchange itself is framed here, on the socket:
-the request head is built once per model, so each request is one write of
-that head, its Content-Length and the body, and each reply is read through
-one buffered reader that lives as long as the connection. A reply may be
-framed by Content-Length, by chunked transfer coding (chunk extensions and
-trailers are skipped) or, failing both, by the server closing the
-connection; interim 100 Continue replies are skipped. Status and header
+handshake, with a CONNECT_TIMEOUT_S limit; after that every read waits up to
+`timeout` seconds. It also writes the request head, once per model, into a
+buffer. The exchange itself is framed here, on the socket: each request is
+one write of that head, its Content-Length and the body, and each reply is
+read through one buffered reader that lives as long as the connection. A
+reply may be framed by Content-Length, by chunked transfer coding (chunk
+extensions and trailers are skipped) or, failing both, by the server closing
+the connection; interim 100 Continue replies are skipped. Status and header
 lines are capped at 65,536 bytes and a reply at 100 header lines, as in
-`http.client`. Before a kept-alive connection is reused, it is checked for
-a server-side close: such a socket reads as ready while no reply is due. A
+`http.client`. Before a kept-alive connection is reused, it is checked for a
+server-side close: such a socket reads as ready while no reply is due. A
 connection is not reused after a reply that said `Connection: close`, an
 HTTP/1.0 reply that did not say `Connection: keep-alive`, or a body that ran
 to the close; it and a closed connection are replaced by a new one. That
@@ -132,45 +132,6 @@ def _closed_by_peer(sock) -> bool:
     # An idle kept-alive socket has nothing to read unless the server has
     # closed it (or broke the protocol); either way it is not reusable.
     return bool(select.select([sock], [], [], 0)[0])
-
-
-def _host_header(url: SplitResult, absolute_target: bool) -> bytes:
-    """The Host value `http.client` would send: the URL's netloc for an
-    absolute target (the request goes to a proxy), otherwise the host
-    (IDNA-encoded if not ASCII, bracketed if IPv6) with the port unless it
-    is the scheme's default; an IPv6 zone is dropped either way."""
-
-    def encoded(name: str) -> bytes:
-        try:
-            return name.encode("ascii")
-        except UnicodeEncodeError:
-            return name.encode("idna")
-
-    if absolute_target:
-        host = encoded(url.netloc)
-    else:
-        host = encoded(url.hostname)
-        if b":" in host:
-            host = b"[" + host + b"]"
-    host, zone, _ = host.partition(b"%")
-    if zone:
-        host += b"]"
-    if not absolute_target and url.port not in (None, 443 if url.scheme == "https" else 80):
-        host += b":%d" % url.port
-    return host
-
-
-def _header_line(name: str, value: str) -> bytes:
-    """`name: value` as a request header line, or a PreconditionError for a
-    pair that would not make exactly one header (the value is not echoed:
-    it holds a credential)."""
-    if (name.isascii() and name and not any(c == ":" or c.isspace() for c in name)
-            and "\r" not in value and "\n" not in value):
-        try:
-            return name.encode("ascii") + b": " + value.encode("latin-1")
-        except UnicodeEncodeError:
-            pass
-    raise PreconditionError(f"backend auth_header {name!r} and its token must make one HTTP header")
 
 
 # http.client's limits: bytes in one status, header or chunk-size line, and
@@ -315,27 +276,37 @@ class HttpCompletionsModel(SequenceModel):
         self.timeout = timeout
         self._proxy = _proxy_for(self._url)
         # A plain-http proxy takes the absolute URL; anything else the path.
-        absolute_target = self._proxy is not None and self._url.scheme == "http"
-        if absolute_target:
+        if self._proxy is not None and self._url.scheme == "http":
             self._target = self.base_url + ENDPOINT
         else:
             self._target = self._url.path + ENDPOINT
-        if not self._target.isascii() or any(c <= " " or c == "\x7f" for c in self._target):
+        self._tls = _tls_context(verify_tls) if self._url.scheme == "https" else None
+        # Each request sends the head http.client writes for this route, then
+        # its Content-Length. Raised from None: http.client's errors quote the token.
+        sent: list[bytes] = []
+        try:
+            probe = self._new_connection()
+            probe.send = sent.append
+            probe.putrequest("POST", self._target)
+        except (http.client.InvalidURL, ValueError):
             raise PreconditionError(
                 f"backend base_url must be printable ASCII without spaces, got {base_url!r}"
-            )
-        # Every request sends the headers http.client would; only
-        # Content-Length is added per request, after this head.
-        head = [
-            b"POST " + self._target.encode("ascii") + b" HTTP/1.1",
-            b"Host: " + _host_header(self._url, absolute_target),
-            b"Accept-Encoding: identity",
-            b"Content-Type: application/json",
-        ]
+            ) from None
+        probe.putheader("Content-Type", "application/json")
         if auth_token is not None:
-            head.append(_header_line(auth_header, f"{AUTH_SCHEME} {auth_token}"))
-        self._head = b"\r\n".join(head) + b"\r\nContent-Length: "
-        self._tls = _tls_context(verify_tls) if self._url.scheme == "https" else None
+            # http.client takes a name with inner whitespace, and a CR or LF
+            # before a space or tab as a folded line.
+            token = f"{AUTH_SCHEME} {auth_token}"
+            try:
+                if any(c.isspace() for c in auth_header) or "\r" in token or "\n" in token:
+                    raise ValueError
+                probe.putheader(auth_header, token)
+            except ValueError:
+                raise PreconditionError(
+                    f"backend auth_header {auth_header!r} and its token must make one HTTP header"
+                ) from None
+        probe.endheaders()
+        self._head = sent[0][:-2] + b"Content-Length: "
         # A connection carries one exchange at a time; keep one per thread.
         self._local = threading.local()
         self._replayable = True
@@ -345,7 +316,9 @@ class HttpCompletionsModel(SequenceModel):
     def replayable(self) -> bool:  # type: ignore[override]
         return self._replayable
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _new_connection(self) -> http.client.HTTPConnection:
+        """An unopened connection on this model's route: direct, or to the proxy
+        with the absolute target (http) or a CONNECT tunnel (https)."""
         # Ports are always given: http.client would read an IPv6 host's last
         # group as one.
         url = self._url
@@ -355,12 +328,14 @@ class HttpCompletionsModel(SequenceModel):
         else:
             host = (self._proxy.hostname, self._proxy.port or 80)
         if self._tls is None:
-            conn = http.client.HTTPConnection(*host, timeout=CONNECT_TIMEOUT_S)
-        else:
-            conn = http.client.HTTPSConnection(*host, timeout=CONNECT_TIMEOUT_S,
-                                               context=self._tls)
-            if self._proxy is not None:
-                conn.set_tunnel(url.hostname, port)
+            return http.client.HTTPConnection(*host, timeout=CONNECT_TIMEOUT_S)
+        conn = http.client.HTTPSConnection(*host, timeout=CONNECT_TIMEOUT_S, context=self._tls)
+        if self._proxy is not None:
+            conn.set_tunnel(url.hostname, port)
+        return conn
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._new_connection()
         conn.connect()
         conn.sock.settimeout(self.timeout)
         return conn

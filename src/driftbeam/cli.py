@@ -239,7 +239,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _load_metrics(path: str) -> RunMetrics:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DatasetError(f"{path}: a metrics file must hold a JSON object, "
+                           f"got {type(payload).__name__}")
     if "metrics" in payload:
         payload = payload["metrics"]
     return RunMetrics.from_dict(payload)

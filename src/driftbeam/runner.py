@@ -204,6 +204,8 @@ class RunConfig:
         if self.method not in METHODS:
             raise PreconditionError(f"method must be one of {METHODS}, got {self.method!r}")
         check_field_types(self, "config")
+        if self.seed < 0:
+            raise PreconditionError(f"config seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
         if self.method == "phi" and self.phi is None:
@@ -425,9 +427,15 @@ def execute_run(
 
     Failures are recorded per instance and skipped. Results are sorted by
     instance id before aggregation so the worker pool's scheduling cannot
-    reach the report.
+    reach the report. Results are keyed by id, so a duplicate id is a
+    PreconditionError before any decode.
     """
     pairs = _resolve_instances(config, dataset)
+    by_id: dict[str, TaskInstance] = {}
+    for instance, _ in pairs:
+        if instance.id in by_id:
+            raise PreconditionError(f"dataset has duplicate task id {instance.id!r}")
+        by_id[instance.id] = instance
 
     def one(indexed) -> tuple[str, Union[DecodeResult, Exception]]:
         index, (instance, task) = indexed
@@ -444,7 +452,6 @@ def execute_run(
     else:
         outcomes = [one(item) for item in enumerate(pairs)]
 
-    by_id = {instance.id: instance for instance, _ in pairs}
     examples: list[PerExample] = []
     failures: list[tuple[str, str]] = []
     traces: list[tuple[str, DecodeResult]] = []

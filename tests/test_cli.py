@@ -427,6 +427,21 @@ class TestCompare:
         assert record["error"] == "DatasetError"
         assert "missing keys" in record["message"]
 
+    @pytest.mark.parametrize("content, message", [
+        (b"5", "a metrics file must hold a JSON object, got int"),
+        (b'{"metrics": "\xff"}', "invalid JSON"),
+        (b'{"metrics": ', "invalid JSON"),
+    ], ids=["number", "not-utf8", "not-json"])
+    def test_file_that_is_not_a_json_object_is_error_record(self, capfd, tmp_path,
+                                                            content, message):
+        path = tmp_path / "metrics.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capfd, "compare", str(path), str(path))
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "DatasetError"
+        assert record["message"].startswith(f"{path}: {message}")
+
     def test_non_numeric_count_is_error_record(self, capfd, tmp_path):
         a_dir = tmp_path / "a"
         run_cli(capfd, "bench", "--dataset", "synthetic:2", "--seed", "13",

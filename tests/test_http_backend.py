@@ -709,6 +709,9 @@ def test_request_head_matches_http_client(base_url, proxy, monkeypatch):
     {"auth_token": "s3cr3t\r\nX-Injected: 1"}, {"auth_token": "s3cr3t\n"},
     {"auth_token": "s3cr3t\u20ac"}, {"auth_token": "s3cr3t", "auth_header": "X Auth"},
     {"auth_token": "s3cr3t", "auth_header": ""},
+    # http.client takes each of these: a folded line and inner whitespace.
+    {"auth_token": "s3cr3t\r\n x"}, {"auth_token": "s3cr3t\r\tx"},
+    {"auth_token": "s3cr3t", "auth_header": "Auth\t"},
 ])
 def test_header_that_is_not_one_header_fails_fast(kwargs):
     with pytest.raises(PreconditionError, match="must make one HTTP header") as caught:
@@ -718,7 +721,7 @@ def test_header_that_is_not_one_header_fails_fast(kwargs):
 
 @pytest.mark.parametrize("base_url, proxy", [
     ("http://127.0.0.1:9/a b", None), ("http://127.0.0.1:9/\u00e9", None),
-    ("http://b\u00fccher.example:8080", PROXY),
+    ("http://b\u00fccher.example:8080", PROXY), ("http://exa mple.com", None),
 ])
 def test_unsendable_target_fails_fast(base_url, proxy, monkeypatch):
     if proxy is not None:

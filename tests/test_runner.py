@@ -155,6 +155,10 @@ class TestParseConfig:
         with pytest.raises(PreconditionError, match="decode.seed"):
             parse_config({"decode": {"seed": 5}})
 
+    def test_negative_seed_rejected_by_key(self):
+        with pytest.raises(PreconditionError, match=r"^config seed must be >= 0, got -1$"):
+            parse_config({"seed": -1})
+
     def test_auth_token_in_file_rejected(self):
         with pytest.raises(PreconditionError, match="auth_token"):
             parse_config({"backend": {"kind": "http", "auth_token": "x"}})
@@ -575,6 +579,15 @@ class TestExecuteRun:
         assert len(output.failures) == 1
         assert output.failures[0][0] == "t2"
         assert "ProtocolError" in output.failures[0][1]
+
+    def test_duplicate_task_id_rejected_before_any_decode(self, monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("decoded before the dataset was checked")
+
+        monkeypatch.setattr("driftbeam.runner._decode_one", no_decode)
+        dataset = [TaskInstance("a", "P1\n", "A"), TaskInstance("a", "P2\n", "B")]
+        with pytest.raises(PreconditionError, match="duplicate task id 'a'"):
+            execute_run(fast_config(), dataset)
 
     def test_overflowing_logprobs_fail_one_instance(self, tmp_path):
         # Finite logprobs whose sum leaves the float range must fail only
