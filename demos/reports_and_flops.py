@@ -27,10 +27,11 @@ for method in ("mfs", "ar-cot"):
           f"{runs[method].tokens_generated} tokens, {runs[method].flops:.3e} FLOPs")
 
 # -- compare -------------------------------------------------------------------
+# The same dict `driftbeam compare` prints; the ratio is "inf" when mfs cost nothing.
 comparison = compare_runs(runs["mfs"], runs["ar-cot"])
-print(f"\naccuracy delta (mfs - ar-cot): {comparison.accuracy_delta:+.3f}")
-print(f"FLOPs ratio (ar-cot / mfs):    {comparison.flops_ratio:.3f}")
-print(f"first token deltas: {comparison.token_deltas[:3]}")
+print(f"\naccuracy delta (mfs - ar-cot): {comparison['accuracy_delta']:+.3f}")
+print(f"FLOPs ratio (ar-cot / mfs):    {comparison['flops_ratio']:.3f}")
+print(f"first token deltas: {comparison['token_deltas'][:3]}")
 
 # -- report table ----------------------------------------------------------------
 table = {

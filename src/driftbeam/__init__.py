@@ -38,7 +38,6 @@ from .engine import (
 )
 from .errors import (
     DatasetError,
-    DecodeStalledError,
     DriftbeamError,
     NumericInputError,
     PreconditionError,
@@ -46,16 +45,13 @@ from .errors import (
     TransportError,
 )
 from .metrics import (
-    Comparison,
     PerExample,
     RunMetrics,
-    answers_match,
     canonical_json,
     compare_runs,
     emit_report,
     flops,
     normalize_answer,
-    parse_report,
 )
 from .process import (
     adaptive_threshold,
@@ -85,11 +81,9 @@ def __getattr__(name: str):
 
 __all__ = [
     "BackendSpec",
-    "Comparison",
     "DatasetError",
     "DecodeConfig",
     "DecodeResult",
-    "DecodeStalledError",
     "DriftbeamError",
     "HttpCompletionsModel",
     "NumericInputError",
@@ -109,7 +103,6 @@ __all__ = [
     "TaskInstance",
     "TransportError",
     "adaptive_threshold",
-    "answers_match",
     "ar_cot_decode",
     "canonical_json",
     "check_stop",
@@ -123,7 +116,6 @@ __all__ = [
     "load_dataset",
     "normalize_answer",
     "parse_config",
-    "parse_report",
     "phi_decode",
     "prune_beam",
     "save_dataset",

@@ -104,7 +104,6 @@ class ScriptedModel(SequenceModel):
     serves one decode at a time.
     """
 
-    replayable = True
     uses_rng = False
 
     def __init__(

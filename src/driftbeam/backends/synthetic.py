@@ -107,8 +107,6 @@ class SyntheticModel(SequenceModel):
     two instance threads, share one. Replies do not depend on the memo.
     """
 
-    replayable = True
-
     def __init__(self, task: SyntheticTask):
         self.task = task
         self._labels = task.labels

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from .backends.base import SequenceModel
 from .engine import (
-    DEFAULT_ANSWER_PATTERN,
     BeamState,
     Candidate,
     DecodeConfig,
@@ -100,22 +99,6 @@ def cluster_candidates(
     return clusters
 
 
-def phi_alignment(
-    candidates: Sequence[Candidate],
-    config: PhiConfig,
-    answer_pattern: str = DEFAULT_ANSWER_PATTERN,
-) -> list[float]:
-    """Per-candidate consensus mass: own cluster size over candidate count."""
-    clusters = cluster_candidates(candidates, config, answer_pattern)
-    total = len(candidates)
-    alignment = [0.0] * total
-    for members in clusters:
-        share = len(members) / total
-        for index in members:
-            alignment[index] = share
-    return alignment
-
-
 def phi_judge(
     candidates: Sequence[Candidate],
     beam: BeamState,
@@ -124,13 +107,19 @@ def phi_judge(
     answer_pattern: str,
 ) -> tuple[list[float], dict, Optional[str]]:
     """One consensus-decoder step: drift (`score_candidates`) plus weighted
-    alignment (a weight of 1.0 adds the alignment exactly), stopped once
+    alignment, the share of the candidates in a candidate's answer cluster
+    (a weight of 1.0 adds the alignment exactly), stopped once
     the largest answer cluster covers a delta fraction of the candidates.
     Each share is len(cluster) / total, and a correctly rounded division by
     a fixed total is monotonic, so the largest share is exactly the largest
     cluster's fraction."""
     advantages = score_candidates(candidates, beam)
-    alignments = phi_alignment(candidates, phi, answer_pattern)
+    total = len(candidates)
+    alignments = [0.0] * total
+    for members in cluster_candidates(candidates, phi, answer_pattern):
+        share = len(members) / total
+        for index in members:
+            alignments[index] = share
     combined = [adv + phi.alignment_weight * ali for adv, ali in zip(advantages, alignments)]
     reason = STOP_CONSENSUS if max(alignments) >= phi.delta else None
     fields = {"advantage": advantages, "alignment": alignments, "combined": combined}

@@ -160,7 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _leaf_advantage_chains(events: list[tuple[str, dict]]) -> list[list[float]]:
-    """Survivor trajectories' advantage sequences from one run's events,
+    """Survivor trajectories' advantage sequences from one decode's events,
     each paired with the `path:line` it was read from. An event that is
     malformed, a select that names a candidate no expand of its step
     listed, a drift that is not a finite number, or parent links that form a
@@ -213,9 +213,11 @@ def _leaf_advantage_chains(events: list[tuple[str, dict]]) -> list[list[float]]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    """Each `{"result", "task"}` record line is one decode; in a bare event
+    stream, a decode ends at its `finalize` event."""
     sequences: list[list[float]] = []
     for path in args.traces:
-        runs: dict[str, list[tuple[str, dict]]] = {}
+        stream: list[tuple[str, dict]] = []
         for line_no, _, record in read_json_lines(path, DatasetError):
             where = f"{path}:{line_no}"
             if not isinstance(record, dict):
@@ -227,12 +229,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 if not isinstance(trace, list):
                     raise DatasetError(f"{where}: a result must be a JSON object "
                                        "whose trace is a list")
-                runs.setdefault(str(record.get("task")), []).extend(
-                    (where, event) for event in trace)
+                sequences.extend(_leaf_advantage_chains([(where, event) for event in trace]))
             else:
-                runs.setdefault("", []).append((where, record))
-        for events in runs.values():
-            sequences.extend(_leaf_advantage_chains(events))
+                stream.append((where, record))
+                if record.get("event") == "finalize":
+                    sequences.extend(_leaf_advantage_chains(stream))
+                    stream = []
+        sequences.extend(_leaf_advantage_chains(stream))
     sys.stdout.buffer.write(canonical_json(trajectory_statistics(sequences)) + b"\n")
     return 0
 
@@ -253,7 +256,7 @@ def _load_metrics(path: str) -> RunMetrics:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     comparison = compare_runs(_load_metrics(args.run_a), _load_metrics(args.run_b))
-    sys.stdout.buffer.write(canonical_json(comparison.to_dict()) + b"\n")
+    sys.stdout.buffer.write(canonical_json(comparison) + b"\n")
     return 0
 
 

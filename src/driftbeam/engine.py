@@ -54,7 +54,6 @@ from .backends.base import (
     quality_of,
 )
 from .errors import (
-    DecodeStalledError,
     NumericInputError,
     PreconditionError,
     TransportError,
@@ -227,11 +226,6 @@ SELECTIONS = ("softmax", "uniform")
 EPSILON_DISABLED = ("none", "null", "off", "-inf")
 
 
-def epsilon_enabled(epsilon_stop: Optional[float]) -> bool:
-    """Convergence stopping is off when epsilon_stop is None or -inf."""
-    return epsilon_stop is not None and epsilon_stop != -math.inf
-
-
 def parse_epsilon(value) -> Optional[float]:
     """epsilon_stop from a CLI flag or a config value: None and the strings
     none/null/off/-inf disable the stop, anything else must read as a float
@@ -252,7 +246,8 @@ def parse_epsilon(value) -> Optional[float]:
 class DecodeConfig:
     """Knobs for one decode. Field names follow the loop's vocabulary:
     beam_size is M, rollouts_per_candidate is N (candidate steps proposed
-    per active path, each carrying rollout_samples foresight rollouts)."""
+    per active path, each carrying rollout_samples foresight rollouts). A
+    disabled convergence stop is stored as None, however it was spelled."""
 
     beam_size: int = 8
     rollouts_per_candidate: int = 8
@@ -282,11 +277,13 @@ class DecodeConfig:
             raise PreconditionError(f"temperature must be finite > 0, got {self.temperature}")
         if self.lambda1 < 0 or not math.isfinite(self.lambda1):
             raise PreconditionError(f"lambda1 must be finite >= 0, got {self.lambda1}")
-        if epsilon_enabled(self.epsilon_stop):
-            if not (self.epsilon_stop >= 0 and math.isfinite(self.epsilon_stop)):
-                raise PreconditionError(
-                    f"epsilon_stop must be finite >= 0, None, or -inf, got {self.epsilon_stop}"
-                )
+        if self.epsilon_stop == -math.inf:
+            object.__setattr__(self, "epsilon_stop", None)
+        elif self.epsilon_stop is not None and not (
+                self.epsilon_stop >= 0 and math.isfinite(self.epsilon_stop)):
+            raise PreconditionError(
+                f"epsilon_stop must be finite >= 0, None, or -inf, got {self.epsilon_stop}"
+            )
         if self.max_steps < 1:
             raise PreconditionError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.rollout_depth < 1:
@@ -303,11 +300,8 @@ class DecodeConfig:
             raise PreconditionError(
                 f"answer_pattern must be a regular expression, got {self.answer_pattern!r}: {exc}"
             ) from None
-        if not (1 <= self.rollout_samples <= self.rollouts_per_candidate):
-            raise PreconditionError(
-                "rollout_samples must be in [1, rollouts_per_candidate], got "
-                f"{self.rollout_samples}"
-            )
+        if self.rollout_samples < 1:
+            raise PreconditionError(f"rollout_samples must be >= 1, got {self.rollout_samples}")
         if self.max_completion_tokens < 1:
             raise PreconditionError(
                 f"max_completion_tokens must be >= 1, got {self.max_completion_tokens}"
@@ -486,7 +480,7 @@ def expand_beam(
     step = beam.step_index + 1
     live = beam.live_paths()
     if not live:
-        raise DecodeStalledError("expand_beam called with no live paths")
+        raise PreconditionError("expand_beam called with no live paths")
 
     samples = range(config.rollout_samples)
     if model.uses_rng:
@@ -585,7 +579,7 @@ def check_stop(drifts: Sequence[float], config: DecodeConfig) -> Optional[str]:
     Returns the stop reason, or None to keep deliberating."""
     if not drifts:
         raise PreconditionError("check_stop over empty candidates")
-    if epsilon_enabled(config.epsilon_stop) and max(drifts) <= config.epsilon_stop:
+    if config.epsilon_stop is not None and max(drifts) <= config.epsilon_stop:
         return STOP_CONVERGED
     return None
 

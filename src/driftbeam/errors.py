@@ -34,7 +34,3 @@ class ProtocolError(DriftbeamError, RuntimeError):
     """A backend reply was malformed: missing logprobs, token-count
     mismatch, or a fixture with no entry for the requested prefix.
     Never silently coerced."""
-
-
-class DecodeStalledError(DriftbeamError, RuntimeError):
-    """The decode loop could not produce a single candidate."""

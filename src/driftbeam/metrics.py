@@ -126,9 +126,6 @@ class PerExample:
     def correct(self) -> bool:
         return answers_match(self.predicted, self.gold)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "PerExample":
         return cls(**_record_fields(cls, data))
@@ -187,47 +184,23 @@ class RunMetrics:
         return metrics
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison:
-    """a measured against b: positive accuracy_delta favors a; flops_ratio
-    is b's cost over a's (so > 1 means a is cheaper)."""
-
-    accuracy_delta: float
-    flops_ratio: float
-    token_deltas: tuple[tuple[str, int], ...]
-    flagged: bool
-
-    def to_dict(self) -> dict:
-        ratio = "inf" if math.isinf(self.flops_ratio) else self.flops_ratio
-        return {
-            "accuracy_delta": self.accuracy_delta,
-            "flops_ratio": ratio,
-            "token_deltas": [[tid, d] for tid, d in self.token_deltas],
-            "flagged": self.flagged,
-        }
-
-
-def compare_runs(a: RunMetrics, b: RunMetrics) -> Comparison:
-    """Accuracy delta (a - b), FLOPs ratio b/a, per-example token deltas."""
+def compare_runs(a: RunMetrics, b: RunMetrics) -> dict:
+    """a measured against b, as `driftbeam compare` prints it: accuracy
+    delta a - b (positive favors a), FLOPs ratio b/a (> 1 means a is
+    cheaper; "inf" and flagged when a cost nothing) and per-example token
+    deltas a - b, sorted by task id."""
     ids_a = sorted(e.task_id for e in a.per_example)
     ids_b = sorted(e.task_id for e in b.per_example)
     if ids_a != ids_b:
         raise DatasetError("compare_runs requires identical task sets")
-    if a.flops == 0:
-        ratio, flagged = math.inf, True
-    else:
-        ratio, flagged = b.flops / a.flops, False
     tokens_b = {e.task_id: e.tokens for e in b.per_example}
-    deltas = tuple(
-        (e.task_id, e.tokens - tokens_b[e.task_id])
-        for e in sorted(a.per_example, key=lambda e: e.task_id)
-    )
-    return Comparison(
-        accuracy_delta=a.accuracy_value - b.accuracy_value,
-        flops_ratio=ratio,
-        token_deltas=deltas,
-        flagged=flagged,
-    )
+    return {
+        "accuracy_delta": a.accuracy_value - b.accuracy_value,
+        "flops_ratio": b.flops / a.flops if a.flops else "inf",
+        "token_deltas": [[e.task_id, e.tokens - tokens_b[e.task_id]]
+                         for e in sorted(a.per_example, key=lambda e: e.task_id)],
+        "flagged": a.flops == 0,
+    }
 
 
 # -- report emission ----------------------------------------------------------
@@ -279,7 +252,7 @@ def _row_cells(
     total_flops = 0
     for name in columns:
         metrics = row.get(name)
-        if metrics is None:
+        if metrics is None or metrics.total == 0:
             cells.append("-")
         else:
             value = metrics.accuracy_value * 100.0
@@ -297,7 +270,9 @@ def emit_report(
 
     Rows are methods (or run labels), columns are benchmarks in first-seen
     order, then the across-benchmark average accuracy and the summed FLOPs.
-    The json format is lossless: parse_report() inverts it exactly.
+    A missing cell, or a run with no graded example, shows as "-" and is
+    left out of the average. The json format holds each cell's
+    `RunMetrics.to_dict()`, which `RunMetrics.from_dict` reads back.
     """
     if format not in _FORMATS:
         raise PreconditionError(f"format must be one of {_FORMATS}, got {format!r}")
@@ -318,12 +293,3 @@ def emit_report(
         cells, avg, total = _row_cells(row, columns)
         lines.append("| " + " | ".join([label, *cells, avg, total]) + " |")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_report(data: bytes) -> dict[str, dict[str, RunMetrics]]:
-    """Inverse of emit_report(..., format="json")."""
-    payload = json.loads(data.decode("utf-8"))
-    return {
-        label: {name: RunMetrics.from_dict(cell) for name, cell in row.items()}
-        for label, row in payload["rows"].items()
-    }

@@ -235,7 +235,7 @@ def test_criterion_08_flops_exactness():
     lean = run_with(5_687_500)
     heavy = run_with(8_354_167)
     assert lean.flops == 273_000_000_000_000_000
-    ratio = compare_runs(lean, heavy).flops_ratio
+    ratio = compare_runs(lean, heavy)["flops_ratio"]
     assert ratio == pytest.approx(1.469, abs=1e-3)
     record(8, f"6np exact on 10^3 pairs; comparison ratio {ratio:.6f}")
 

@@ -19,7 +19,6 @@ from driftbeam.baselines import (
     STOP_COMPLETED,
     STOP_CONSENSUS,
     cluster_candidates,
-    phi_alignment,
     phi_judge,
 )
 from driftbeam.engine import DEFAULT_ANSWER_PATTERN, BeamPath, BeamState, Candidate
@@ -107,7 +106,7 @@ class TestClustering:
 
     def test_alignment_fractions(self):
         cands = [mk_candidate("A"), mk_candidate("B"), mk_candidate("A")]
-        assert phi_alignment(cands, PhiConfig()) == pytest.approx([2 / 3, 1 / 3, 2 / 3])
+        assert judge(cands)[1]["alignment"] == [2 / 3, 1 / 3, 2 / 3]
 
     def test_answerless_fall_back_to_quality_proximity(self):
         cands = [
@@ -133,8 +132,7 @@ class TestClustering:
 
     def test_mixed_answered_and_answerless(self):
         cands = [mk_candidate("A"), mk_candidate(None, quality=5.0), mk_candidate("A")]
-        alignment = phi_alignment(cands, PhiConfig())
-        assert alignment == pytest.approx([2 / 3, 1 / 3, 2 / 3])
+        assert judge(cands)[1]["alignment"] == [2 / 3, 1 / 3, 2 / 3]
 
     def test_last_rollout_answer_wins(self):
         cand = Candidate(

@@ -307,6 +307,31 @@ class TestBench:
         assert (a_dir / "metrics.json").read_bytes() == (b_dir / "metrics.json").read_bytes()
         assert (a_dir / "traces.jsonl").read_bytes() == (b_dir / "traces.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("graded", ["no-task", "every-task-fails"])
+    def test_run_with_no_graded_task_writes_all_four_outputs(self, capfd, tmp_path, graded):
+        out_dir = tmp_path / "out"
+        if graded == "no-task":
+            args = ["--dataset", "synthetic:0"]
+        else:
+            dataset, fixture = tmp_path / "tasks.jsonl", tmp_path / "empty.jsonl"
+            dataset.write_text('{"id": "t1", "prompt": "Q\\n", "answer": "4"}\n')
+            fixture.write_text("")
+            args = ["--dataset", str(dataset), "--backend", "scripted",
+                    "--fixture", str(fixture)]
+        code, out, err = run_cli(capfd, "bench", *args, "--out", str(out_dir))
+        assert code == 0, err
+        assert '"accuracy":null' in out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "metrics.json", "report.json", "report.md", "traces.jsonl"]
+        failures = json.loads((out_dir / "metrics.json").read_bytes())["failures"]
+        if graded == "every-task-fails":
+            assert [tid for tid, _ in failures] == ["t1"]
+            assert "ProtocolError" in failures[0][1]
+        else:
+            assert failures == []
+        assert (out_dir / "report.md").read_text().splitlines()[2].endswith(
+            " | - | - | 0.000e+00 |")
+
     def test_exclude_rollout_tokens(self, capfd):
         args = ["bench", "--dataset", "synthetic:3", "--seed", "8", *FAST]
         _, full, _ = run_cli(capfd, *args)
@@ -328,6 +353,16 @@ class TestSweep:
         points = json.loads(out)
         assert [p["label"] for p in points] == ["lambda1=0.4", "lambda1=0.8"]
         assert [p["seed"] for p in points] == [9, 10]
+
+    def test_sweep_over_no_task_writes_its_report(self, capfd, tmp_path):
+        config_path, out_dir = tmp_path / "sweep.yaml", tmp_path / "out"
+        config_path.write_text("dataset: synthetic:0\ngrid:\n  lambda1: [0.4, 0.8]\n")
+        code, out, err = run_cli(capfd, "sweep", "--config", str(config_path),
+                                 "--out", str(out_dir))
+        assert code == 0, err
+        assert [p["accuracy"] for p in json.loads(out)] == [None, None]
+        assert (out_dir / "sweep-report.md").read_text().splitlines()[2:] == [
+            "| lambda1=0.4 | - | - | 0.000e+00 |", "| lambda1=0.8 | - | - | 0.000e+00 |"]
 
     def test_sweep_without_grid_errors(self, capfd):
         code, out, err = run_cli(capfd, "sweep", "--dataset", "synthetic:2", *FAST)
@@ -354,6 +389,34 @@ class TestStats:
         code, out, _ = run_cli(capfd, "stats", str(trace_path))
         assert code == 0
         assert json.loads(out)["trajectory_count"] >= 1
+
+    @pytest.mark.parametrize("kind", ["bench", "decode"])
+    def test_joined_file_reads_as_its_parts(self, capfd, tmp_path, kind):
+        # Decodes that share a file stay apart: a record line is one decode,
+        # and a bare event stream starts a new decode after each finalize.
+        parts = []
+        for seed in ("1", "2"):
+            if kind == "bench":
+                out_dir = tmp_path / f"out{seed}"
+                run_cli(capfd, "bench", "--dataset", "synthetic:3", "--out", str(out_dir),
+                        "--seed", seed, *FAST)
+                parts.append(out_dir / "traces.jsonl")
+            else:
+                parts.append(tmp_path / f"trace{seed}.jsonl")
+                run_cli(capfd, "decode", "--prompt", "Pick.\n", "--seed", seed,
+                        "--trace", str(parts[-1]), *FAST)
+        joined = tmp_path / "joined.jsonl"
+        joined.write_bytes(b"".join(part.read_bytes() for part in parts))
+        code, apart, _ = run_cli(capfd, "stats", *map(str, parts))
+        assert code == 0
+        code, together, _ = run_cli(capfd, "stats", str(joined))
+        assert code == 0
+        assert together == apart
+        counts = []
+        for part in parts:
+            code, out, _ = run_cli(capfd, "stats", str(part))
+            counts.append(json.loads(out)["trajectory_count"])
+        assert json.loads(together)["trajectory_count"] == sum(counts)
 
     def test_missing_file_is_error_record(self, capfd):
         code, out, err = run_cli(capfd, "stats", "/nonexistent/trace.jsonl")

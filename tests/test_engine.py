@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from driftbeam import (
     DecodeConfig,
-    DecodeStalledError,
     PreconditionError,
     TransportError,
     decode,
@@ -84,7 +83,7 @@ class TestConfig:
             {"lambda1": -0.1},
             {"epsilon_stop": -1e-9},
             {"max_steps": 0},
-            {"rollout_samples": 9},  # > rollouts_per_candidate
+            {"rollout_samples": 0},
             {"selection": "greedy"},
             {"step_delimiter": ""},
         ],
@@ -94,8 +93,9 @@ class TestConfig:
             DecodeConfig(**changes)
 
     def test_epsilon_disable_spellings(self):
+        # Both spellings of a disabled stop are stored as None.
         assert DecodeConfig(epsilon_stop=None).epsilon_stop is None
-        assert DecodeConfig(epsilon_stop=-math.inf).epsilon_stop == -math.inf
+        assert DecodeConfig(epsilon_stop=-math.inf).epsilon_stop is None
 
 
 class TestExtractAnswer:
@@ -440,8 +440,17 @@ class TestExpand:
     def test_no_live_paths_stalls(self, two_arm_model):
         beam = mk_beam([0.1])
         beam.paths[0].finished = True
-        with pytest.raises(DecodeStalledError):
+        with pytest.raises(PreconditionError, match="no live paths"):
             expand_beam(two_arm_model, beam, DecodeConfig())
+
+    def test_more_rollout_samples_than_candidates(self, two_arm_model):
+        # A rollout's stream key does not involve N, so nothing ties the two.
+        cfg = DecodeConfig(beam_size=2, rollouts_per_candidate=2, rollout_samples=3,
+                           rollout_depth=4, max_steps=3, seed=7)
+        expands = [e for e in decode(two_arm_model, "Pick an arm.\n", cfg).trace
+                   if e["event"] == "expand"]
+        assert expands
+        assert all(len(c["qualities"]) == 3 for e in expands for c in e["candidates"])
 
 
 class TestScore:

@@ -1,7 +1,6 @@
 """Metrics tests: normalization table, exact FLOPs, comparisons, reports."""
 
 import json
-import math
 import re
 
 import pytest
@@ -9,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftbeam import (
-    Comparison,
     DatasetError,
     PerExample,
     PreconditionError,
     RunMetrics,
-    answers_match,
     canonical_json,
     compare_runs,
     emit_report,
     flops,
     normalize_answer,
-    parse_report,
 )
+from driftbeam.metrics import answers_match
 
 
 class TestNormalization:
@@ -224,17 +221,17 @@ class TestCompareRuns:
     def test_fields(self):
         a, b = self._runs()
         cmp = compare_runs(a, b)
-        assert cmp.accuracy_delta == pytest.approx(0.5)
-        assert cmp.flops_ratio == pytest.approx(370 / 250)
-        assert cmp.token_deltas == (("t1", -80), ("t2", -40))
-        assert cmp.flagged is False
+        assert cmp["accuracy_delta"] == pytest.approx(0.5)
+        assert cmp["flops_ratio"] == pytest.approx(370 / 250)
+        assert cmp["token_deltas"] == [["t1", -80], ["t2", -40]]
+        assert cmp["flagged"] is False
 
     def test_pinned_ratio(self):
         # 8,354,167 tokens against 5,687,500 at the same parameter count.
         a = RunMetrics([ex("t1", "4", "4", tokens=5_687_500)], model_params=8_000_000_000)
         b = RunMetrics([ex("t1", "4", "4", tokens=8_354_167)], model_params=8_000_000_000)
         assert a.flops == 273_000_000_000_000_000
-        assert compare_runs(a, b).flops_ratio == pytest.approx(1.468864, abs=1e-4)
+        assert compare_runs(a, b)["flops_ratio"] == pytest.approx(1.468864, abs=1e-4)
 
     def test_mismatched_tasks_rejected(self):
         a = RunMetrics([ex("t1", "4", "4")], model_params=10)
@@ -246,9 +243,8 @@ class TestCompareRuns:
         a = RunMetrics([ex("t1", "4", "4", tokens=0)], model_params=10)
         b = RunMetrics([ex("t1", "4", "4", tokens=10)], model_params=10)
         cmp = compare_runs(a, b)
-        assert math.isinf(cmp.flops_ratio)
-        assert cmp.flagged is True
-        assert cmp.to_dict()["flops_ratio"] == "inf"
+        assert cmp["flops_ratio"] == "inf"
+        assert cmp["flagged"] is True
 
     def test_deltas_sorted_by_task_id(self):
         a = RunMetrics(
@@ -258,7 +254,17 @@ class TestCompareRuns:
             [ex("a", "1", "1", tokens=2), ex("z", "1", "1", tokens=2)], model_params=10
         )
         cmp = compare_runs(a, b)
-        assert [tid for tid, _ in cmp.token_deltas] == ["a", "z"]
+        assert [tid for tid, _ in cmp["token_deltas"]] == ["a", "z"]
+
+    def test_returns_the_printed_dict(self):
+        # `driftbeam compare` prints canonical_json of this dict as it is.
+        a = RunMetrics([ex("t1", "4", "4", tokens=2), ex("t2", "4", "5", tokens=3)],
+                       model_params=10)
+        b = RunMetrics([ex("t1", "4", "4", tokens=4), ex("t2", "5", "5", tokens=5)],
+                       model_params=10)
+        assert canonical_json(compare_runs(a, b)) == (
+            b'{"accuracy_delta":-0.5,"flagged":false,"flops_ratio":1.8,'
+            b'"token_deltas":[["t1",-2],["t2",-2]]}')
 
 
 class TestReports:
@@ -282,10 +288,17 @@ class TestReports:
 
     def test_json_roundtrip_lossless(self):
         table = self._table()
-        parsed = parse_report(emit_report(table, "json"))
-        assert parsed == {
-            label: dict(row) for label, row in table.items()
-        }
+        payload = json.loads(emit_report(table, "json"))
+        assert payload["columns"] == ["gsm", "arc"]
+        parsed = {label: {name: RunMetrics.from_dict(cell) for name, cell in row.items()}
+                  for label, row in payload["rows"].items()}
+        assert parsed == table
+
+    def test_run_with_no_graded_example_is_a_missing_cell(self):
+        table = self._table()
+        table["ar-cot"]["arc"] = RunMetrics((), model_params=1_000_000)
+        lines = emit_report(table, "markdown").decode().splitlines()
+        assert lines[3] == "| ar-cot | 50.00 | - | 50.00 | 1.200e+08 |"
 
     def test_empty_table_headers_only(self):
         md = emit_report({}, "markdown").decode()
@@ -302,18 +315,3 @@ class TestReports:
         # Key order of the input never leaks into the bytes.
         assert canonical_json({"a": 0, "b": 1}) == canonical_json({"b": 1, "a": 0})
 
-
-class TestComparisonSerialization:
-    def test_to_dict(self):
-        cmp = Comparison(
-            accuracy_delta=0.25,
-            flops_ratio=1.5,
-            token_deltas=(("t1", -3),),
-            flagged=False,
-        )
-        assert cmp.to_dict() == {
-            "accuracy_delta": 0.25,
-            "flops_ratio": 1.5,
-            "token_deltas": [["t1", -3]],
-            "flagged": False,
-        }

@@ -14,7 +14,7 @@ from driftbeam import DecodeConfig, DriftbeamError, PhiConfig, PreconditionError
 from driftbeam.backends.base import FINISH_EOS, StepSample
 from driftbeam.backends.http import HttpCompletionsModel
 from driftbeam.backends.scripted import fixture_key, save_fixture
-from driftbeam.metrics import canonical_json, parse_report
+from driftbeam.metrics import RunMetrics, canonical_json
 from driftbeam.runner import (
     BACKEND_KINDS,
     ENV_API_KEY,
@@ -481,8 +481,8 @@ class TestRoundTrip:
         ({"temperature": [1.0, 0.0]}, "temperature must be finite > 0"),
         ({"selection": ["softmax", "greedy"]}, "selection must be in"),
         ({"beam_size": ["2"]}, "decode beam_size must be int"),
-        # Each value is valid alone; one combination is not.
-        ({"N": [1, 2], "rollout_samples": [2]}, "rollout_samples must be in"),
+        # N=1 with two rollout samples is valid; rollout_samples=0 is not.
+        ({"N": [1, 2], "rollout_samples": [2, 0]}, "rollout_samples must be >= 1"),
     ])
     def test_every_grid_point_checked_when_the_config_is_built(self, grid, named):
         with pytest.raises(PreconditionError, match=named):
@@ -759,8 +759,8 @@ class TestWriteOutputs:
         assert len(lines) == 4
         first = json.loads(lines[0])
         assert set(first) == {"result", "task"}
-        report = parse_report((out_dir / "report.json").read_bytes())
-        assert report["mfs"]["synthetic:4"].total == 4
+        report = json.loads((out_dir / "report.json").read_bytes())
+        assert RunMetrics.from_dict(report["rows"]["mfs"]["synthetic:4"]) == output.metrics
         markdown = (out_dir / "report.md").read_text()
         assert markdown.startswith("| Method | synthetic:4 |")
 
@@ -800,8 +800,8 @@ class TestSweep:
         listed = json.loads((out_dir / "sweep-points.json").read_bytes())
         assert [p["label"] for p in listed] == [p.label for p in points]
         assert [p["seed"] for p in listed] == [11, 12]
-        report = parse_report((out_dir / "sweep-report.json").read_bytes())
-        assert set(report) == {"lambda1=0.4", "lambda1=0.8"}
+        report = json.loads((out_dir / "sweep-report.json").read_bytes())
+        assert set(report["rows"]) == {"lambda1=0.4", "lambda1=0.8"}
 
     def test_lambda_direction_tokens_non_decreasing(self):
         # Mechanics: larger lambda1 raises the prune threshold mu + lambda1 *
