@@ -15,9 +15,12 @@ comes first; `run_loop` applies the max_steps cap when that rule does not
 fire. Every decode, the baselines' included, ends in `finalize`, which
 writes the `stop` and `finalize` events. Every intermediate quantity is
 emitted on an append-only trace so runs can be audited or re-plotted
-without rerunning the model. Each event is built as a dict and encoded to
-canonical JSON bytes (`metrics.canonical_json`) in the step that emits it,
-so a decode holds bytes and no event dict outlives its step.
+without rerunning the model. Each event is stored as its canonical JSON
+bytes, written in the step that emits it, so a decode holds bytes and never
+an event dict. `stop` and `finalize` are encoded by `metrics.canonical_json`.
+The loop's four step events (expand, score, select, prune) are written
+straight to the same bytes by writers of their own, which the tests hold to
+`canonical_json` of the dict each one stands for.
 
 Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
@@ -728,10 +731,90 @@ def finalize(
     )
 
 
+# -- step events -------------------------------------------------------------
+
+# The step events' writers. Each returns canonical_json's bytes for the
+# event dict it names, without building it: keys come in sorted order,
+# strings are escaped by canonical_json's own escaper, a float is spelled by
+# float.__repr__ (or NaN, Infinity, -Infinity, as canonical_json writes a
+# non-finite one) and an int by str().
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _floats(values: Sequence[float]) -> str:
+    text = ",".join(map(float.__repr__, values))
+    if "n" in text:  # a nan or an inf: no finite float's repr holds an "n"
+        text = ",".join(map(_float, values))
+    return text
+
+
+def _expand_event(method: str, step: int, candidates: Sequence[Candidate]) -> bytes:
+    """{"event": "expand", "method", "step", "candidates": [{"parent", "index",
+    "text", "tokens", "finish", "qualities"} per candidate]}. The head and
+    tail of each distinct (finish, text, tokens) are escaped once."""
+    ends: dict[tuple[str, str, int], tuple[str, str]] = {}
+    items = []
+    for c in candidates:
+        key = (c.finish_reason, c.step_text, c.step_tokens)
+        head, tail = ends.get(key) or ends.setdefault(key, (
+            f'{{"finish":{_quote(c.finish_reason)},"index":',
+            f',"text":{_quote(c.step_text)},"tokens":{c.step_tokens}}}'))
+        items.append(f'{head}{c.index},"parent":{c.parent_path_id},'
+                     f'"qualities":[{_floats(c.rollout_qualities)}]{tail}')
+    return (f'{{"candidates":[{",".join(items)}],"event":"expand",'
+            f'"method":{_quote(method)},"step":{step}}}').encode()
+
+
+def _score_event(method: str, step: int, fields: dict[str, Sequence[float]]) -> bytes:
+    """{"event": "score", "method", "step", **fields}, each field a list of floats."""
+    members = {"event": '"score"', "method": _quote(method), "step": str(step)}
+    for name, values in fields.items():
+        members[name] = f"[{_floats(values)}]"
+    return ("{" + ",".join(f"{_quote(name)}:{members[name]}" for name in sorted(members))
+            + "}").encode()
+
+
+def _select_event(method: str, step: int,
+                  selections: Sequence[tuple[BeamPath, Candidate, float]]) -> bytes:
+    """{"event": "select", "method", "step", "selected": [{"path_id", "parent",
+    "index", "weight", "quality", "finished"} per selection]}."""
+    selected = ",".join(
+        f'{{"finished":{"true" if child.finished else "false"},"index":{cand.index},'
+        f'"parent":{cand.parent_path_id},"path_id":{child.path_id},'
+        f'"quality":{_float(child.quality)},"weight":{_float(weight)}}}'
+        for child, cand, weight in selections)
+    return (f'{{"event":"select","method":{_quote(method)},"selected":[{selected}],'
+            f'"step":{step}}}').encode()
+
+
+def _prune_event(method: str, step: int, threshold: Optional[AdaptiveThreshold],
+                 deficits: Sequence[tuple[int, float]], pruned: Sequence[int]) -> bytes:
+    """{"event": "prune", "method", "step", "threshold": None or {"mu", "sigma",
+    "lambda1", "value"}, "deficits", "pruned"}; lambda1 may be an int."""
+    if threshold is None:
+        limit = "null"
+    else:
+        lambda1 = threshold.lambda1
+        limit = (f'{{"lambda1":{lambda1 if type(lambda1) is int else _float(lambda1)},'
+                 f'"mu":{_float(threshold.mu)},"sigma":{_float(threshold.sigma)},'
+                 f'"value":{_float(threshold.value)}}}')
+    listed = ",".join(f"[{pid},{_float(deficit)}]" for pid, deficit in deficits)
+    return (f'{{"deficits":[{listed}],"event":"prune","method":{_quote(method)},'
+            f'"pruned":[{",".join(map(str, pruned))}],"step":{step},"threshold":{limit}}}'
+            ).encode()
+
+
 # -- full loop ----------------------------------------------------------------
 
 # Scores one step's candidates and applies the method's own stop rule:
-# (candidates, beam) -> (scores, score trace fields, stop reason or None).
+# (candidates, beam) -> (scores, score trace fields, stop reason or None),
+# where each score trace field is a list of floats.
 Judge = Callable[[Sequence[Candidate], BeamState], tuple[list[float], dict, Optional[str]]]
 
 
@@ -760,62 +843,19 @@ def run_loop(
             break
         step = beam.step_index + 1
         candidates = expand_beam(model, beam, config)
-        trace.append(canonical_json({
-            "event": "expand",
-            "method": method,
-            "step": step,
-            "candidates": [
-                {
-                    "parent": c.parent_path_id,
-                    "index": c.index,
-                    "text": c.step_text,
-                    "tokens": c.step_tokens,
-                    "finish": c.finish_reason,
-                    "qualities": c.rollout_qualities,
-                }
-                for c in candidates
-            ],
-        }))
+        trace.append(_expand_event(method, step, candidates))
         scores, score_fields, reason = judge(candidates, beam)
         if reason is None and step >= config.max_steps:
             reason = STOP_MAX_STEPS
-        trace.append(canonical_json(
-            {"event": "score", "method": method, "step": step, **score_fields}))
+        trace.append(_score_event(method, step, score_fields))
         selections = select_beam(
             candidates, scores, beam, config, substream(config.seed, TAG_SELECT, step)
         )
-        trace.append(canonical_json({
-            "event": "select",
-            "method": method,
-            "step": step,
-            "selected": [
-                {
-                    "path_id": child.path_id,
-                    "parent": cand.parent_path_id,
-                    "index": cand.index,
-                    "weight": weight,
-                    "quality": child.quality,
-                    "finished": child.finished,
-                }
-                for child, cand, weight in selections
-            ],
-        }))
+        trace.append(_select_event(method, step, selections))
         if prune:
             threshold, deficits, pruned = prune_beam(beam, config)
             beam.prune_count += len(pruned)
-            trace.append(canonical_json({
-                "event": "prune",
-                "method": method,
-                "step": step,
-                "threshold": None if threshold is None else {
-                    "mu": threshold.mu,
-                    "sigma": threshold.sigma,
-                    "lambda1": threshold.lambda1,
-                    "value": threshold.value,
-                },
-                "deficits": deficits,
-                "pruned": pruned,
-            }))
+            trace.append(_prune_event(method, step, threshold, deficits, pruned))
         if reason is not None:
             beam.stop_reason = reason
             break

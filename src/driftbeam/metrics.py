@@ -186,16 +186,17 @@ class RunMetrics:
 
 def compare_runs(a: RunMetrics, b: RunMetrics) -> dict:
     """a measured against b, as `driftbeam compare` prints it: accuracy
-    delta a - b (positive favors a), FLOPs ratio b/a (> 1 means a is
-    cheaper; "inf" and flagged when a cost nothing) and per-example token
-    deltas a - b, sorted by task id."""
+    delta a - b (positive favors a; None when neither run graded a task),
+    FLOPs ratio b/a (> 1 means a is cheaper; "inf" and flagged when a cost
+    nothing) and per-example token deltas a - b, sorted by task id."""
     ids_a = sorted(e.task_id for e in a.per_example)
     ids_b = sorted(e.task_id for e in b.per_example)
     if ids_a != ids_b:
         raise DatasetError("compare_runs requires identical task sets")
     tokens_b = {e.task_id: e.tokens for e in b.per_example}
     return {
-        "accuracy_delta": a.accuracy_value - b.accuracy_value,
+        # Equal task sets: both runs are empty, or neither is.
+        "accuracy_delta": a.accuracy_value - b.accuracy_value if a.total else None,
         "flops_ratio": b.flops / a.flops if a.flops else "inf",
         "token_deltas": [[e.task_id, e.tokens - tokens_b[e.task_id]]
                          for e in sorted(a.per_example, key=lambda e: e.task_id)],

@@ -481,6 +481,16 @@ class TestCompare:
         assert payload["flops_ratio"] < 1.0  # plain completion is cheaper
         assert len(payload["token_deltas"]) == 4
 
+    def test_two_runs_with_no_graded_task(self, capfd, tmp_path):
+        # bench writes such a file and reports its accuracy as null; the
+        # comparison has no accuracy to take a delta of either.
+        run_cli(capfd, "bench", "--dataset", "synthetic:0", "--out", str(tmp_path))
+        path = str(tmp_path / "metrics.json")
+        code, out, err = run_cli(capfd, "compare", path, path)
+        assert code == 0, err
+        assert json.loads(out) == {"accuracy_delta": None, "flagged": True,
+                                   "flops_ratio": "inf", "token_deltas": []}
+
     def test_missing_key_is_error_record(self, capfd, tmp_path):
         path = tmp_path / "metrics.json"
         path.write_text('{"metrics": {"tokens_generated": 1}}')

@@ -15,7 +15,7 @@ from driftbeam import (
     decode,
     engine,
 )
-from driftbeam.backends.base import SequenceModel, StepSample
+from driftbeam.backends.base import FINISH_REASONS, SequenceModel, StepSample
 from driftbeam.backends.http import HttpCompletionsModel
 from driftbeam.backends.scripted import RecordingModel, ScriptedModel, fixture_key
 from driftbeam.backends.synthetic import SyntheticModel, SyntheticTask
@@ -43,7 +43,8 @@ from driftbeam.engine import (
 )
 from driftbeam.baselines import PhiConfig
 from driftbeam.metrics import canonical_json
-from driftbeam.runner import decode_with
+from driftbeam.process import AdaptiveThreshold
+from driftbeam.runner import BackendSpec, decode_with
 
 
 def mk_candidate(parent=0, index=0, quality=0.0, text="step\n",
@@ -766,17 +767,35 @@ class TestDecodeEndToEnd:
         b = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)
         assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
-    @pytest.mark.parametrize("method", ["mfs", "phi", "ar-cot"])
-    def test_trace_stored_as_canonical_bytes(self, two_arm_task, method,
+    # The 2-arm, one-sample world keeps the bare method as its id.
+    @pytest.mark.parametrize("method, arms, rollout_samples", [
+        pytest.param(method, arms, samples, id=method if (arms, samples) == (2, 1)
+                     else f"{method}-{arms}arms-{samples}samples")
+        for arms, samples in [(2, 1), (4, 1), (2, 3), (4, 3)]
+        for method in ["mfs", "phi", "ar-cot"]])
+    def test_trace_stored_as_canonical_bytes(self, method, arms, rollout_samples,
                                              check_trace_encoding):
         cfg = DecodeConfig(beam_size=4, rollouts_per_candidate=4, rollout_depth=5,
-                           max_steps=10, seed=1)
-        result = decode_with(method, SyntheticModel(two_arm_task), "Pick the best arm.\n",
+                           max_steps=10, seed=1, rollout_samples=rollout_samples)
+        task = BackendSpec(arm_count=arms).base_task()
+        result = decode_with(method, SyntheticModel(task), "Pick the best arm.\n",
                              cfg, PhiConfig(delta=0.9) if method == "phi" else None)
         check_trace_encoding(result)
         assert all(type(event) is bytes for event in result.trace_json)
         if method == "mfs":
-            assert result.prune_count >= 3  # the seed prunes, so the count has teeth
+            assert result.prune_count >= 2  # the seed prunes, so the count has teeth
+        if method != "ar-cot":
+            expands = [e for e in result.trace if e["event"] == "expand"]
+            assert {len(c["qualities"]) for e in expands for c in e["candidates"]} == {
+                rollout_samples}
+
+    def test_integer_lambda1_stays_an_integer(self, two_arm_task, check_trace_encoding):
+        cfg = DecodeConfig(beam_size=4, rollouts_per_candidate=4, rollout_depth=5,
+                           max_steps=10, seed=1, lambda1=1)
+        result = decode(SyntheticModel(two_arm_task), "Pick the best arm.\n", cfg)
+        check_trace_encoding(result)
+        prunes = [e for e in result.trace_json if e.startswith(b'{"deficits"')]
+        assert prunes and all(b'"threshold":{"lambda1":1,"mu":' in e for e in prunes)
 
     def test_to_dict_shape(self, two_arm_task, small_config):
         result = decode(SyntheticModel(two_arm_task), "Pick.\n", small_config)
@@ -786,3 +805,100 @@ class TestDecodeEndToEnd:
             "stop_reason", "stop_step", "tokens_generated", "trace",
         }
         assert isinstance(payload["trace"], list)
+
+
+# -- step-event writers against canonical_json --------------------------------
+
+# The dicts run_loop built before its events had writers of their own: the
+# oracle that each writer's bytes must match under canonical_json.
+def expand_dict(method, step, candidates):
+    return {"event": "expand", "method": method, "step": step, "candidates": [
+        {"parent": c.parent_path_id, "index": c.index, "text": c.step_text,
+         "tokens": c.step_tokens, "finish": c.finish_reason, "qualities": c.rollout_qualities}
+        for c in candidates]}
+
+
+def score_dict(method, step, fields):
+    return {"event": "score", "method": method, "step": step, **fields}
+
+
+def select_dict(method, step, selections):
+    return {"event": "select", "method": method, "step": step, "selected": [
+        {"path_id": child.path_id, "parent": cand.parent_path_id, "index": cand.index,
+         "weight": weight, "quality": child.quality, "finished": child.finished}
+        for child, cand, weight in selections]}
+
+
+def prune_dict(method, step, threshold, deficits, pruned):
+    return {"event": "prune", "method": method, "step": step,
+            "threshold": None if threshold is None else {
+                "mu": threshold.mu, "sigma": threshold.sigma,
+                "lambda1": threshold.lambda1, "value": threshold.value},
+            "deficits": deficits, "pruned": pruned}
+
+
+# Every float the writers may be handed, the edges of float spelling among them.
+event_floats = st.floats() | st.sampled_from([
+    -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.inf, -math.inf, math.nan])
+# Step texts: any code point (lone surrogates too), with quotes, backslashes,
+# controls and a non-BMP character drawn often.
+event_texts = st.text(st.characters(blacklist_categories=())
+                      | st.sampled_from('"\\\n\t\x00\x1f\x7fé \U0001F600'), max_size=8)
+ids = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def event_candidates(draw):
+    """Candidates drawn from small pools of finishes, texts and token counts,
+    so that they share a (finish, text, tokens), or part of one, as a step's do."""
+    finishes = draw(st.lists(st.sampled_from(FINISH_REASONS) | event_texts,
+                             min_size=1, max_size=2))
+    texts = draw(st.lists(event_texts, min_size=1, max_size=2))
+    tokens = draw(st.lists(ids, min_size=1, max_size=2))
+    samples = draw(st.integers(min_value=1, max_value=3))  # rollout_samples
+    qualities = st.lists(event_floats, min_size=samples, max_size=samples).map(tuple)
+    return [Candidate(draw(ids), draw(ids), draw(st.sampled_from(texts)),
+                      draw(st.sampled_from(tokens)), draw(st.sampled_from(finishes)),
+                      ("r",) * samples, draw(qualities))
+            for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+
+
+class TestEventWriters:
+    """Each writer emits canonical_json of the dict run_loop used to build."""
+
+    @given(method=event_texts, step=ids, candidates=event_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_expand(self, method, step, candidates):
+        assert engine._expand_event(method, step, candidates) == canonical_json(
+            expand_dict(method, step, candidates))
+
+    @given(method=event_texts, step=ids, data=st.data(),
+           names=st.sampled_from([("drifts",), ("advantage", "alignment", "combined")]))
+    @settings(max_examples=200, deadline=None)
+    def test_score(self, method, step, data, names):
+        fields = {name: data.draw(st.lists(event_floats, max_size=5)) for name in names}
+        assert engine._score_event(method, step, fields) == canonical_json(
+            score_dict(method, step, fields))
+
+    @given(method=event_texts, step=ids, selections=st.lists(st.tuples(
+        st.builds(BeamPath, path_id=ids, prefix=st.just(""), quality=event_floats,
+                  finished=st.booleans()),
+        st.builds(mk_candidate, parent=ids, index=ids),
+        event_floats), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_select(self, method, step, selections):
+        assert engine._select_event(method, step, selections) == canonical_json(
+            select_dict(method, step, selections))
+
+    @given(method=event_texts, step=ids,
+           threshold=st.none() | st.builds(
+               AdaptiveThreshold, mu=event_floats, sigma=event_floats,
+               lambda1=event_floats | st.integers(min_value=0, max_value=10**20),
+               value=event_floats),
+           deficits=st.lists(st.tuples(ids, event_floats), max_size=4),
+           pruned=st.lists(ids, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_prune(self, method, step, threshold, deficits, pruned):
+        assert engine._prune_event(method, step, threshold, deficits, pruned) == canonical_json(
+            prune_dict(method, step, threshold, deficits, pruned))
