@@ -16,11 +16,11 @@ fire. Every decode, the baselines' included, ends in `finalize`, which
 writes the `stop` and `finalize` events. Every intermediate quantity is
 emitted on an append-only trace so runs can be audited or re-plotted
 without rerunning the model. Each event is stored as its canonical JSON
-bytes, written in the step that emits it, so a decode holds bytes and never
-an event dict. `stop` and `finalize` are encoded by `metrics.canonical_json`.
-The loop's four step events (expand, score, select, prune) are written
-straight to the same bytes by writers of their own, which the tests hold to
-`canonical_json` of the dict each one stands for.
+bytes, written in the step that emits it, so a decode holds bytes and no
+event dict outlives its step. `score`, `stop` and `finalize` are encoded by
+`metrics.canonical_json`. The loop's expand, select and prune events are
+written straight to the same bytes by writers of their own, which the tests
+hold to `canonical_json` of the dict each one stands for.
 
 Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
@@ -733,11 +733,11 @@ def finalize(
 
 # -- step events -------------------------------------------------------------
 
-# The step events' writers. Each returns canonical_json's bytes for the
-# event dict it names, without building it: keys come in sorted order,
-# strings are escaped by canonical_json's own escaper, a float is spelled by
-# float.__repr__ (or NaN, Infinity, -Infinity, as canonical_json writes a
-# non-finite one) and an int by str().
+# The expand, select and prune events' writers. Each returns canonical_json's
+# bytes for the event dict it names, without building it: keys come in sorted
+# order, strings are escaped by canonical_json's own escaper, a float is
+# spelled by float.__repr__ (or NaN, Infinity, -Infinity, as canonical_json
+# writes a non-finite one) and an int by str().
 _quote = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -747,37 +747,16 @@ def _float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def _floats(values: Sequence[float]) -> str:
-    text = ",".join(map(float.__repr__, values))
-    if "n" in text:  # a nan or an inf: no finite float's repr holds an "n"
-        text = ",".join(map(_float, values))
-    return text
-
-
 def _expand_event(method: str, step: int, candidates: Sequence[Candidate]) -> bytes:
     """{"event": "expand", "method", "step", "candidates": [{"parent", "index",
-    "text", "tokens", "finish", "qualities"} per candidate]}. The head and
-    tail of each distinct (finish, text, tokens) are escaped once."""
-    ends: dict[tuple[str, str, int], tuple[str, str]] = {}
-    items = []
-    for c in candidates:
-        key = (c.finish_reason, c.step_text, c.step_tokens)
-        head, tail = ends.get(key) or ends.setdefault(key, (
-            f'{{"finish":{_quote(c.finish_reason)},"index":',
-            f',"text":{_quote(c.step_text)},"tokens":{c.step_tokens}}}'))
-        items.append(f'{head}{c.index},"parent":{c.parent_path_id},'
-                     f'"qualities":[{_floats(c.rollout_qualities)}]{tail}')
-    return (f'{{"candidates":[{",".join(items)}],"event":"expand",'
+    "text", "tokens", "finish", "qualities"} per candidate]}."""
+    items = ",".join(
+        f'{{"finish":{_quote(c.finish_reason)},"index":{c.index},"parent":{c.parent_path_id},'
+        f'"qualities":[{",".join(map(_float, c.rollout_qualities))}],'
+        f'"text":{_quote(c.step_text)},"tokens":{c.step_tokens}}}'
+        for c in candidates)
+    return (f'{{"candidates":[{items}],"event":"expand",'
             f'"method":{_quote(method)},"step":{step}}}').encode()
-
-
-def _score_event(method: str, step: int, fields: dict[str, Sequence[float]]) -> bytes:
-    """{"event": "score", "method", "step", **fields}, each field a list of floats."""
-    members = {"event": '"score"', "method": _quote(method), "step": str(step)}
-    for name, values in fields.items():
-        members[name] = f"[{_floats(values)}]"
-    return ("{" + ",".join(f"{_quote(name)}:{members[name]}" for name in sorted(members))
-            + "}").encode()
 
 
 def _select_event(method: str, step: int,
@@ -813,8 +792,7 @@ def _prune_event(method: str, step: int, threshold: Optional[AdaptiveThreshold],
 # -- full loop ----------------------------------------------------------------
 
 # Scores one step's candidates and applies the method's own stop rule:
-# (candidates, beam) -> (scores, score trace fields, stop reason or None),
-# where each score trace field is a list of floats.
+# (candidates, beam) -> (scores, score trace fields, stop reason or None).
 Judge = Callable[[Sequence[Candidate], BeamState], tuple[list[float], dict, Optional[str]]]
 
 
@@ -847,7 +825,8 @@ def run_loop(
         scores, score_fields, reason = judge(candidates, beam)
         if reason is None and step >= config.max_steps:
             reason = STOP_MAX_STEPS
-        trace.append(_score_event(method, step, score_fields))
+        trace.append(canonical_json(
+            {"event": "score", "method": method, "step": step, **score_fields}))
         selections = select_beam(
             candidates, scores, beam, config, substream(config.seed, TAG_SELECT, step)
         )
