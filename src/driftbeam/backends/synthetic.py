@@ -42,10 +42,14 @@ _ARM_RE = re.compile(r"consider arm ([A-Z])")
 _STEP_RE = re.compile(r"deliberate (\d+)")
 _ANSWER_RE = re.compile(r"Answer:")
 
+# A reply's shape: (text, token count, logprob level, finish reason).
+_Shape = tuple[str, int, float, str]
+
 
 @dataclass(frozen=True, slots=True)
 class SyntheticTask:
-    """Arm family definition; correct_arm is the argmax of drifts."""
+    """Arm family definition; correct_arm is the argmax of drifts. Each
+    error message starts with the name of the field it rejects."""
 
     arm_count: int
     drifts: tuple[float, ...]
@@ -62,10 +66,10 @@ class SyntheticTask:
         if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
             raise PreconditionError(f"noise_std must be finite >= 0, got {self.noise_std}")
         if self.horizon < 1:
-            raise PreconditionError("horizon must be >= 1")
+            raise PreconditionError(f"horizon must be >= 1, got {self.horizon}")
         best = max(self.drifts)
         if sum(1 for d in self.drifts if d == best) > 1:
-            raise PreconditionError("tied maximal drifts are forbidden")
+            raise PreconditionError(f"drifts must have one largest value, got {self.drifts}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -100,29 +104,32 @@ class SyntheticTask:
 class SyntheticModel(SequenceModel):
     """Pure generator over a SyntheticTask.
 
-    A decode asks about the same few prefixes over and over (every rollout
-    of a candidate, every candidate of a path), so the model memoizes each
-    prefix's parse. The memo lives for one decode: `fresh()` returns a new
-    model over the same task with an empty memo, so no two decodes, and no
-    two instance threads, share one. Replies do not depend on the memo.
+    A decode asks for the same few replies over and over (every rollout of
+    a candidate, every candidate of a path), so the model memoizes each
+    reply's shape: its text, token count, logprob level and finish reason,
+    keyed by call kind, prefix and limit. At the root the prefix names no
+    arm, so an entry holds one shape per arm, picked by `sample_index` for
+    a proposal and by one draw for a rollout or completion. A call then
+    costs one lookup and its logprob draw. The memo lives for one decode:
+    `fresh()` returns a new model over the same task with an empty memo, so
+    no two decodes, and no two instance threads, share one. Replies never
+    depend on the memo, and a call that raises stores nothing.
     """
 
     def __init__(self, task: SyntheticTask):
         self.task = task
         self._labels = task.labels
-        self._parsed: dict[str, tuple[Optional[int], int, bool]] = {}
+        # (kind, prefix, limit) -> (draws its arm?, one shape, or one per arm)
+        self._shapes: dict[tuple[str, str, int], tuple[bool, tuple[_Shape, ...]]] = {}
 
     def fresh(self) -> "SyntheticModel":
         return SyntheticModel(self.task)
 
-    # -- prefix parsing ----------------------------------------------------
+    # -- reply shapes ------------------------------------------------------
 
     def _parse(self, prefix: str) -> tuple[Optional[int], int, bool]:
-        """(arm index or None, reasoning steps done, answered?), memoized
-        per prefix. A prefix naming an unknown arm raises and is not stored."""
-        parsed = self._parsed.get(prefix)
-        if parsed is not None:
-            return parsed
+        """(arm index or None, reasoning steps done, answered?). A prefix
+        naming an unknown arm raises."""
         arm_match = _ARM_RE.search(prefix)
         arm = None
         steps = 0
@@ -135,30 +142,54 @@ class SyntheticModel(SequenceModel):
             numbers = [int(m) for m in _STEP_RE.findall(prefix)]
             if numbers:
                 steps = max(numbers)
-        parsed = self._parsed[prefix] = (arm, steps, bool(_ANSWER_RE.search(prefix)))
-        return parsed
+        return arm, steps, bool(_ANSWER_RE.search(prefix))
+
+    def _build(self, kind: str, prefix: str, limit: int) -> tuple[bool, tuple[_Shape, ...]]:
+        """Every shape a `kind` call on `prefix` can reply with, and whether
+        it draws its arm: one shape per arm at the root, else one."""
+        if kind == "rollout" and limit < 1:
+            raise PreconditionError(f"depth must be >= 1, got {limit}")
+        arm, steps, answered = self._parse(prefix)
+        if answered and kind != "rollout":
+            return False, (("", 0, 0.0, FINISH_EOS),)
+        shapes = []
+        for a in range(self.task.arm_count) if arm is None else (arm,):
+            label = self._labels[a]
+            words, level, finish, newline = ["Answer:", label], max(steps, 1), FINISH_EOS, False
+            if kind == "rollout":
+                # The lookahead carries the arm's answer so answer-clustering
+                # methods can read it; with depth < 3 there is no room for it.
+                words = ["mull"] * (limit - 2) + words if limit >= 3 else ["mull"] * limit
+                finish = FINISH_LENGTH
+            elif kind == "propose" and arm is None:
+                words, finish, newline = ["consider", "arm", label], FINISH_DELIMITER, True
+            elif kind == "propose" and steps < self.task.horizon:
+                words, level = ["deliberate", str(steps + 1)], steps + 1
+                finish, newline = FINISH_DELIMITER, True
+            shapes.append(self._shape(words, self._level(a, level), finish, limit, newline))
+        # Root proposals stratify over arms by sample_index, so one expand
+        # exposes all of them. A root rollout or completion draws its arm, so
+        # a plain completion hits the best arm exactly 1 time in arm_count.
+        return arm is None and kind != "propose", tuple(shapes)
 
     def _level(self, arm: int, steps: int) -> float:
         return min(steps, self.task.horizon) * self.task.drifts[arm]
 
-    def _emit(
-        self,
-        words: list[str],
-        level: float,
-        rng: np.random.Generator,
-        finish: str,
-        max_tokens: int,
-        trailing_newline: bool = False,
-    ) -> StepSample:
+    @staticmethod
+    def _shape(words: list[str], level: float, finish: str, max_tokens: int,
+               trailing_newline: bool) -> _Shape:
         if max_tokens < 1:
             raise PreconditionError(f"max_tokens must be >= 1, got {max_tokens}")
         if len(words) > max_tokens:
             words = words[:max_tokens]
             finish = FINISH_LENGTH
             trailing_newline = False
-        logprobs = rng.normal(level, self.task.noise_std, size=len(words))
-        text = " ".join(words) + ("\n" if trailing_newline else "")
-        return StepSample(text, tuple(logprobs.tolist()), finish)
+        return " ".join(words) + ("\n" if trailing_newline else ""), len(words), level, finish
+
+    def _draw(self, shape: _Shape, rng: np.random.Generator) -> StepSample:
+        text, count, level, finish = shape
+        logprobs = rng.normal(level, self.task.noise_std, count).tolist() if count else ()
+        return StepSample(text, tuple(logprobs), finish)
 
     # -- SequenceModel interface -------------------------------------------
 
@@ -171,47 +202,16 @@ class SyntheticModel(SequenceModel):
         stop: Optional[str] = None,
         sample_index: int = 0,
     ) -> StepSample:
-        arm, steps, answered = self._parse(prefix)
-        if answered:
-            return StepSample("", (), FINISH_EOS)
-        if arm is None:
-            # Root proposals stratify over arms so one expand exposes all of
-            # them; randomness enters only through the rollout logprobs.
-            arm = sample_index % self.task.arm_count
-            words = ["consider", "arm", self._labels[arm]]
-            return self._emit(words, self._level(arm, 1), rng, FINISH_DELIMITER,
-                              max_tokens, trailing_newline=True)
-        if steps >= self.task.horizon:
-            words = ["Answer:", self._labels[arm]]
-            return self._emit(words, self._level(arm, steps), rng, FINISH_EOS, max_tokens)
-        words = ["deliberate", str(steps + 1)]
-        return self._emit(words, self._level(arm, steps + 1), rng, FINISH_DELIMITER,
-                          max_tokens, trailing_newline=True)
+        key = ("propose", prefix, max_tokens)
+        _, shapes = self._shapes.get(key) or self._shapes.setdefault(key, self._build(*key))
+        return self._draw(shapes[sample_index % len(shapes)], rng)
 
     def rollout(self, prefix: str, depth: int, rng: np.random.Generator) -> StepSample:
-        if depth < 1:
-            raise PreconditionError(f"depth must be >= 1, got {depth}")
-        arm, steps, _ = self._parse(prefix)
-        if arm is None:
-            arm = int(rng.integers(self.task.arm_count))
-            steps = 1
-        label = self._labels[arm]
-        # The lookahead carries the arm's answer so answer-clustering methods
-        # can read it; with depth < 3 there is no room for the answer tokens.
-        if depth >= 3:
-            words = ["mull"] * (depth - 2) + ["Answer:", label]
-        else:
-            words = ["mull"] * depth
-        return self._emit(words, self._level(arm, max(steps, 1)), rng, FINISH_LENGTH, depth)
+        key = ("rollout", prefix, depth)
+        root, shapes = self._shapes.get(key) or self._shapes.setdefault(key, self._build(*key))
+        return self._draw(shapes[int(rng.integers(len(shapes)))] if root else shapes[0], rng)
 
     def complete(self, prefix: str, max_tokens: int, rng: np.random.Generator) -> StepSample:
-        arm, steps, answered = self._parse(prefix)
-        if answered:
-            return StepSample("", (), FINISH_EOS)
-        if arm is None:
-            # Plain autoregressive completion picks an arm in one draw, so
-            # the single-sample hit rate is exactly 1/arm_count.
-            arm = int(rng.integers(self.task.arm_count))
-            steps = 1
-        words = ["Answer:", self._labels[arm]]
-        return self._emit(words, self._level(arm, max(steps, 1)), rng, FINISH_EOS, max_tokens)
+        key = ("complete", prefix, max_tokens)
+        root, shapes = self._shapes.get(key) or self._shapes.setdefault(key, self._build(*key))
+        return self._draw(shapes[int(rng.integers(len(shapes)))] if root else shapes[0], rng)

@@ -26,15 +26,18 @@ Determinism: all randomness flows through named substreams of the config
 seed, derived per (kind, step, path, candidate, sample), so the result is
 a pure function of the config and the backend's replies. A step's propose
 and rollout keys are all known before its first backend call, so
-`expand_beam` runs SeedSequence's hash for all of them in one batch
+`expand_beam` builds them as one fields-major uint32 array, tiled and
+repeated over the live path ids, candidate and sample indices in call
+order, runs SeedSequence's hash for all of them in one batch
 (`substream_words`) and hands each backend call a generator of its own,
-whose PCG64 seeds itself in C from that key's four words; each call draws
-exactly what `substream(seed, *key)` would give it, and a generator a
-backend keeps cannot touch the next call's draws. A backend that declares
-`uses_rng = False` (scripted replay) draws nothing, so `expand_beam`
-derives none of those streams and passes it `rng=None`; what it returns
-cannot depend on a stream. The step's select stream and each survivor's
-completion stream come from `substream` itself, for every backend.
+made as the call comes, whose PCG64 seeds itself in C from that key's four
+words. Each call draws exactly what `substream(seed, *key)` would give it,
+and a generator a backend keeps cannot touch the next call's draws. A
+backend that declares `uses_rng = False` (scripted replay) draws nothing,
+so `expand_beam` derives none of those streams and passes it `rng=None`;
+what it returns cannot depend on a stream. The step's select stream and
+each survivor's completion stream come from `substream` itself, for every
+backend.
 """
 
 from __future__ import annotations
@@ -186,6 +189,10 @@ class _Words(np.random.bit_generator.ISeedSequence):
         if n_words != 4 or dtype is not np.uint64:
             raise PreconditionError(f"substream words serve 4 uint64s, not {n_words} {dtype}")
         return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 # The value types a config field accepts, by its annotation. A float field
@@ -487,15 +494,18 @@ def expand_beam(
 
     samples = range(config.rollout_samples)
     if model.uses_rng:
-        # Every stream of the step, in the order the calls below use them:
-        # each candidate's proposal, then its rollouts, one generator each.
-        keys = []
-        for path in live:
-            for cand_index in range(config.rollouts_per_candidate):
-                keys.append((TAG_PROPOSE, step, path.path_id, cand_index, 0))
-                keys.extend((TAG_ROLLOUT, step, path.path_id, cand_index, s) for s in samples)
-        streams = (np.random.Generator(np.random.PCG64(_Words(row)))
-                   for row in substream_words(config.seed, keys))
+        # Every stream key of the step, one column each, in the order the
+        # calls below use them: each candidate's proposal, then its rollouts.
+        width = 1 + config.rollout_samples
+        proposals = len(live) * config.rollouts_per_candidate
+        keys = np.empty((5, proposals * width), dtype=np.uint32)
+        keys[0] = np.tile([TAG_PROPOSE] + [TAG_ROLLOUT] * config.rollout_samples, proposals)
+        keys[1] = step
+        path_ids = np.array([path.path_id for path in live], dtype=np.uint32)
+        keys[2] = np.repeat(path_ids, config.rollouts_per_candidate * width)
+        keys[3] = np.tile(np.repeat(np.arange(config.rollouts_per_candidate), width), len(live))
+        keys[4] = np.tile([0, *samples], proposals)
+        streams = map(_generator, substream_words(config.seed, keys.T))
     else:
         # A backend that never draws gets no stream: a draw from None fails.
         streams = itertools.repeat(None)

@@ -138,6 +138,16 @@ class BackendSpec:
             raise PreconditionError("scripted backend requires a fixture path")
         if self.kind == "http" and not (self.base_url and self.model):
             raise PreconditionError("http backend requires base_url and model")
+        if self.kind == "synthetic":
+            try:
+                self.base_task()
+            except PreconditionError as exc:
+                # The message names the task field; given drifts make the arms,
+                # else arm_count and drift do.
+                field = str(exc).split()[0]
+                keys = {"arm_count": "drifts"} if self.drifts is not None else {"drifts": "drift"}
+                key = keys.get(field, field)
+                raise PreconditionError(f"backend {key} makes no synthetic world: {exc}") from None
         if self.base_url is not None:
             from .backends.http import split_base_url
 

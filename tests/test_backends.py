@@ -226,9 +226,59 @@ def reply(model, kind, prefix, stream):
     return model.complete(prefix, 8, rng)
 
 
+# Every prefix kind the grammar knows, plus prefixes naming an arm the
+# three-arm world does not have.
+ANY_PREFIXES = st.one_of(GRAMMAR_PREFIXES, st.sampled_from(
+    ["Pick.\nconsider arm Q\n", "Pick.\nconsider arm D\ndeliberate 5\n"]))
+
+
+def call(model, kind, prefix, limit, sample_index, stream):
+    """One call of `kind`, with `limit` as its max_tokens or depth; the
+    error text stands for a call that raises."""
+    rng = rng_for(17, stream)
+    try:
+        if kind == "propose":
+            return model.propose_step(prefix, rng, max_tokens=limit, sample_index=sample_index)
+        if kind == "rollout":
+            return model.rollout(prefix, limit, rng)
+        return model.complete(prefix, limit, rng)
+    except PreconditionError as exc:
+        return str(exc)
+
+
 class TestSyntheticParseMemo:
-    """The model memoizes each prefix's parse for the decode it serves;
-    replies never depend on what it has parsed before."""
+    """The model memoizes each reply's shape for the decode it serves;
+    replies never depend on what it has stored before."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_warm_memo_replies_like_a_cold_model(self, data):
+        # Limits of 1 to 4 truncate every reply kind at every length.
+        pool = data.draw(st.lists(ANY_PREFIXES, min_size=1, max_size=6))
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(CALL_KINDS), st.sampled_from(pool), st.integers(1, 4),
+                      st.integers(0, 5), st.integers(0, 3)),
+            min_size=1, max_size=60,
+        ))
+        model = SyntheticModel(THREE_ARMS)
+        for args in calls:
+            warm = call(model, *args)
+            assert warm == call(SyntheticModel(THREE_ARMS), *args), args
+            unknown = "arm Q" in args[1] or "arm D" in args[1]
+            assert isinstance(warm, str) == unknown, (args, warm)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("propose", "max_tokens must be >= 1, got 0"),
+        ("rollout", "depth must be >= 1, got 0"),
+        ("complete", "max_tokens must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("prefix", ["Pick.\n", "Pick.\nconsider arm B\n"])
+    def test_limit_below_one_raises_on_every_call_and_is_not_stored(self, kind, message,
+                                                                      prefix):
+        model = SyntheticModel(THREE_ARMS)
+        assert [call(model, kind, prefix, 0, 1, 0) for _ in range(3)] == [message] * 3
+        assert model._shapes == {}
+        assert isinstance(call(model, kind, prefix, 1, 1, 0), StepSample)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -258,6 +258,15 @@ class TestSubstreamStates:
             # Small integers() draws buffer a 32-bit half between calls.
             assert mixed_draws(rng) == mixed_draws(substream(seed, *key))
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
+    def test_a_uint32_array_gives_the_words_of_its_rows_as_tuples(self, seed):
+        keys = [(TAG_PROPOSE, 5, p, c, s) for p in (3, 7, 12) for c in range(3) for s in range(2)]
+        want = substream_words(seed, keys).tolist()
+        rows = np.array(keys, dtype=np.uint32)
+        fields_major = np.ascontiguousarray(rows.T)
+        assert substream_words(seed, rows).tolist() == want
+        assert substream_words(seed, fields_major.T).tolist() == want
+
     def test_words_serve_only_pcg64(self):
         words = substream_words(3, [(TAG_PROPOSE, 1, 0, 0, 0)])[0]
         with pytest.raises(PreconditionError, match="4 uint64s"):
@@ -387,18 +396,31 @@ class TestExpand:
             expand_beam(model, mk_beam([0.1]), cfg)
         assert [kind for kind, _, _ in model.draws] == ["propose", "rollout"]
 
-    def expected_draws(self, beam):
+    def expected_draws(self, beam, config=CONFIG):
         step = beam.step_index + 1
         want = []
         for path in beam.paths:
-            for cand in range(3):
-                stream = substream(self.CONFIG.seed, TAG_PROPOSE, step, path.path_id, cand, 0)
+            for cand in range(config.rollouts_per_candidate):
+                stream = substream(config.seed, TAG_PROPOSE, step, path.path_id, cand, 0)
                 want.append(("propose", path.prefix, stream.random()))
-                for sample in range(2):
-                    stream = substream(self.CONFIG.seed, TAG_ROLLOUT, step, path.path_id,
+                for sample in range(config.rollout_samples):
+                    stream = substream(config.seed, TAG_ROLLOUT, step, path.path_id,
                                        cand, sample)
                     want.append(("rollout", path.prefix + "x\n", stream.random()))
         return want
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
+    @pytest.mark.parametrize("candidates", [1, 3])
+    @pytest.mark.parametrize("rollouts", [1, 3])
+    def test_keys_of_the_array_are_the_keys_of_the_calls(self, seed, candidates, rollouts):
+        config = DecodeConfig(beam_size=3, rollouts_per_candidate=candidates,
+                              rollout_samples=rollouts, seed=seed)
+        beam = mk_beam([0.1, 0.2, 0.3], step_index=4)
+        for path, path_id in zip(beam.paths, [3, 7, 12]):
+            path.path_id = path_id
+        model = DrawRecorder()
+        expand_beam(model, beam, config)
+        assert model.draws == self.expected_draws(beam, config)
 
     def test_each_call_draws_from_its_own_substream(self):
         beam = mk_beam([0.1, 0.2], step_index=4)

@@ -266,6 +266,25 @@ class TestParseConfig:
         with pytest.raises(PreconditionError, match=f"^backend {key} must be finite, got "):
             parse_config({"backend": {key: value}})
 
+    @pytest.mark.parametrize("backend, key, reason", [
+        ({"drift": 0}, "drift", "drifts must have one largest value, got (0.0, -0.0)"),
+        ({"arm_count": 0}, "arm_count", "arm_count must be in [1, 26], got 0"),
+        ({"arm_count": 27}, "arm_count", "arm_count must be in [1, 26], got 27"),
+        ({"horizon": 0}, "horizon", "horizon must be >= 1, got 0"),
+        ({"noise_std": -1}, "noise_std", "noise_std must be finite >= 0, got -1"),
+        ({"drifts": [0.1, 0.1]}, "drifts", "drifts must have one largest value, got (0.1, 0.1)"),
+        ({"drifts": []}, "drifts", "arm_count must be in [1, 26], got 0"),
+    ])
+    def test_unusable_synthetic_world_rejected_by_key(self, backend, key, reason):
+        message = f"backend {key} makes no synthetic world: {reason}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            parse_config({"backend": backend})
+
+    def test_synthetic_world_checked_only_for_a_synthetic_backend(self, tmp_path):
+        assert parse_config({"backend": {"drift": 0, "arm_count": 1}}).backend.drift == 0
+        backend = {"kind": "scripted", "fixture": str(tmp_path / "f.jsonl"), "arm_count": 0}
+        assert parse_config({"backend": backend}).backend.arm_count == 0
+
     @pytest.mark.parametrize("key, value, bound", [
         ("timeout", math.nan, "> 0"), ("timeout", math.inf, "> 0"),
         ("timeout", -1.0, "> 0"), ("timeout", 0.0, "> 0"),
