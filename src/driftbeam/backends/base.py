@@ -127,8 +127,8 @@ class SequenceModel(ABC):
         A backend that keeps state across calls starts that state afresh
         here. The scripted backend rewinds its cursors in place (one
         scripted model serves one decode at a time). The synthetic backend
-        returns a new model over the same task with an empty parse memo, so
-        decodes on different threads never share a memo. A backend with no
-        per-decode state (HTTP) returns self.
+        returns a new model over the same task with an empty memo of reply
+        shapes, so decodes on different threads never share a memo. A
+        backend with no per-decode state (HTTP) returns self.
         """
         return self

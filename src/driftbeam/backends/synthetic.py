@@ -152,10 +152,12 @@ class SyntheticModel(SequenceModel):
         arm, steps, answered = self._parse(prefix)
         if answered and kind != "rollout":
             return False, (("", 0, 0.0, FINISH_EOS),)
+        if limit < 1:
+            raise PreconditionError(f"max_tokens must be >= 1, got {limit}")
         shapes = []
         for a in range(self.task.arm_count) if arm is None else (arm,):
             label = self._labels[a]
-            words, level, finish, newline = ["Answer:", label], max(steps, 1), FINISH_EOS, False
+            words, reached, finish, newline = ["Answer:", label], max(steps, 1), FINISH_EOS, False
             if kind == "rollout":
                 # The lookahead carries the arm's answer so answer-clustering
                 # methods can read it; with depth < 3 there is no room for it.
@@ -164,27 +166,16 @@ class SyntheticModel(SequenceModel):
             elif kind == "propose" and arm is None:
                 words, finish, newline = ["consider", "arm", label], FINISH_DELIMITER, True
             elif kind == "propose" and steps < self.task.horizon:
-                words, level = ["deliberate", str(steps + 1)], steps + 1
+                words, reached = ["deliberate", str(steps + 1)], steps + 1
                 finish, newline = FINISH_DELIMITER, True
-            shapes.append(self._shape(words, self._level(a, level), finish, limit, newline))
+            if len(words) > limit:
+                words, finish, newline = words[:limit], FINISH_LENGTH, False
+            level = min(reached, self.task.horizon) * self.task.drifts[a]
+            shapes.append((" ".join(words) + ("\n" if newline else ""), len(words), level, finish))
         # Root proposals stratify over arms by sample_index, so one expand
         # exposes all of them. A root rollout or completion draws its arm, so
         # a plain completion hits the best arm exactly 1 time in arm_count.
         return arm is None and kind != "propose", tuple(shapes)
-
-    def _level(self, arm: int, steps: int) -> float:
-        return min(steps, self.task.horizon) * self.task.drifts[arm]
-
-    @staticmethod
-    def _shape(words: list[str], level: float, finish: str, max_tokens: int,
-               trailing_newline: bool) -> _Shape:
-        if max_tokens < 1:
-            raise PreconditionError(f"max_tokens must be >= 1, got {max_tokens}")
-        if len(words) > max_tokens:
-            words = words[:max_tokens]
-            finish = FINISH_LENGTH
-            trailing_newline = False
-        return " ".join(words) + ("\n" if trailing_newline else ""), len(words), level, finish
 
     def _draw(self, shape: _Shape, rng: np.random.Generator) -> StepSample:
         text, count, level, finish = shape

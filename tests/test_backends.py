@@ -217,13 +217,18 @@ CALL_KINDS = ("propose", "rollout", "complete")
 THREE_ARMS = SyntheticTask(arm_count=3, drifts=(0.1, -0.05, 0.02), noise_std=0.2, horizon=4)
 
 
-def reply(model, kind, prefix, stream):
+def call(model, kind, prefix, limit, sample_index, stream):
+    """One call of `kind`, with `limit` as its max_tokens or depth."""
     rng = rng_for(13, stream)
     if kind == "propose":
-        return model.propose_step(prefix, rng, max_tokens=8, sample_index=stream)
+        return model.propose_step(prefix, rng, max_tokens=limit, sample_index=sample_index)
     if kind == "rollout":
-        return model.rollout(prefix, 4, rng)
-    return model.complete(prefix, 8, rng)
+        return model.rollout(prefix, limit, rng)
+    return model.complete(prefix, limit, rng)
+
+
+def reply(model, kind, prefix, stream):
+    return call(model, kind, prefix, 4 if kind == "rollout" else 8, stream, stream)
 
 
 # Every prefix kind the grammar knows, plus prefixes naming an arm the
@@ -232,28 +237,22 @@ ANY_PREFIXES = st.one_of(GRAMMAR_PREFIXES, st.sampled_from(
     ["Pick.\nconsider arm Q\n", "Pick.\nconsider arm D\ndeliberate 5\n"]))
 
 
-def call(model, kind, prefix, limit, sample_index, stream):
-    """One call of `kind`, with `limit` as its max_tokens or depth; the
-    error text stands for a call that raises."""
-    rng = rng_for(17, stream)
-    try:
-        if kind == "propose":
-            return model.propose_step(prefix, rng, max_tokens=limit, sample_index=sample_index)
-        if kind == "rollout":
-            return model.rollout(prefix, limit, rng)
-        return model.complete(prefix, limit, rng)
-    except PreconditionError as exc:
-        return str(exc)
-
-
 class TestSyntheticParseMemo:
     """The model memoizes each reply's shape for the decode it serves;
     replies never depend on what it has stored before."""
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_warm_memo_replies_like_a_cold_model(self, data):
-        # Limits of 1 to 4 truncate every reply kind at every length.
+    def test_memoized_replies_equal_a_fresh_model(self, data):
+        # Limits of 1 to 4 cut every proposal and completion short and give
+        # rollouts with and without the answer; the error text stands for a
+        # call that raises.
+        def outcome(model, args):
+            try:
+                return call(model, *args)
+            except PreconditionError as exc:
+                return str(exc)
+
         pool = data.draw(st.lists(ANY_PREFIXES, min_size=1, max_size=6))
         calls = data.draw(st.lists(
             st.tuples(st.sampled_from(CALL_KINDS), st.sampled_from(pool), st.integers(1, 4),
@@ -262,8 +261,8 @@ class TestSyntheticParseMemo:
         ))
         model = SyntheticModel(THREE_ARMS)
         for args in calls:
-            warm = call(model, *args)
-            assert warm == call(SyntheticModel(THREE_ARMS), *args), args
+            warm = outcome(model, args)
+            assert warm == outcome(SyntheticModel(THREE_ARMS), args), args
             unknown = "arm Q" in args[1] or "arm D" in args[1]
             assert isinstance(warm, str) == unknown, (args, warm)
 
@@ -276,22 +275,11 @@ class TestSyntheticParseMemo:
     def test_limit_below_one_raises_on_every_call_and_is_not_stored(self, kind, message,
                                                                       prefix):
         model = SyntheticModel(THREE_ARMS)
-        assert [call(model, kind, prefix, 0, 1, 0) for _ in range(3)] == [message] * 3
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                call(model, kind, prefix, 0, 1, 0)
         assert model._shapes == {}
         assert isinstance(call(model, kind, prefix, 1, 1, 0), StepSample)
-
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_memoized_replies_equal_a_fresh_model(self, data):
-        pool = data.draw(st.lists(GRAMMAR_PREFIXES, min_size=1, max_size=5))
-        calls = data.draw(st.lists(
-            st.tuples(st.sampled_from(pool), st.sampled_from(CALL_KINDS), st.integers(0, 3)),
-            min_size=1, max_size=40,
-        ))
-        model = SyntheticModel(THREE_ARMS)
-        for prefix, kind, stream in calls:
-            assert reply(model, kind, prefix, stream) == \
-                reply(SyntheticModel(THREE_ARMS), kind, prefix, stream)
 
     def test_unknown_arm_raises_on_every_call(self):
         model = SyntheticModel(THREE_ARMS)
