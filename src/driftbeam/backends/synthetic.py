@@ -147,13 +147,12 @@ class SyntheticModel(SequenceModel):
     def _build(self, kind: str, prefix: str, limit: int) -> tuple[bool, tuple[_Shape, ...]]:
         """Every shape a `kind` call on `prefix` can reply with, and whether
         it draws its arm: one shape per arm at the root, else one."""
-        if kind == "rollout" and limit < 1:
-            raise PreconditionError(f"depth must be >= 1, got {limit}")
+        if limit < 1:
+            name = "depth" if kind == "rollout" else "max_tokens"
+            raise PreconditionError(f"{name} must be >= 1, got {limit}")
         arm, steps, answered = self._parse(prefix)
         if answered and kind != "rollout":
             return False, (("", 0, 0.0, FINISH_EOS),)
-        if limit < 1:
-            raise PreconditionError(f"max_tokens must be >= 1, got {limit}")
         shapes = []
         for a in range(self.task.arm_count) if arm is None else (arm,):
             label = self._labels[a]

@@ -99,12 +99,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raw[section] = {**(current or {}), key: value}
         elif key in _RUN_FIELDS:
             raw[key] = value
-    # A phi section exists iff the effective method is phi: a config file may
-    # carry one for its own phi runs, and phi flags are ignored otherwise.
-    if raw.get("method") == "phi":
-        raw["phi"] = raw.get("phi") or {}
-    else:
-        raw.pop("phi", None)
     return parse_config(raw)
 
 
@@ -133,7 +127,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = _build_config(args)
     output = execute_run(config)
     summary = {
-        "accuracy": output.metrics.accuracy_value if output.metrics.total else None,
+        "accuracy": output.metrics.accuracy_value,
         "failures": len(output.failures),
         "flops": output.metrics.flops,
         "tokens_generated": output.metrics.tokens_generated,
@@ -148,7 +142,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = sweep(config)
     summary = [
         {
-            "accuracy": p.metrics.accuracy_value if p.metrics.total else None,
+            "accuracy": p.metrics.accuracy_value,
             "label": p.label,
             "seed": p.seed,
             "tokens_generated": p.metrics.tokens_generated,
@@ -277,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a dataset and write reports")
     _add_override_flags(p_bench)
     _add_run_flags(p_bench)
-    p_bench.add_argument("--exclude-rollout-tokens", action="store_false",
-                         dest="count_rollout_tokens", default=argparse.SUPPRESS,
-                         help="count only committed-path tokens in n")
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over decode fields")

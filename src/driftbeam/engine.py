@@ -252,6 +252,11 @@ def parse_epsilon(value) -> Optional[float]:
                                 f"{EPSILON_DISABLED}, got {value!r}") from None
 
 
+# DecodeConfig's counts and token limits; each must be >= 1.
+_LIMITS = ("beam_size", "rollouts_per_candidate", "max_steps", "rollout_depth",
+           "max_step_tokens", "rollout_samples", "max_completion_tokens")
+
+
 @dataclass(frozen=True, slots=True)
 class DecodeConfig:
     """Knobs for one decode. Field names follow the loop's vocabulary:
@@ -277,12 +282,9 @@ class DecodeConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self, "decode")
-        if self.beam_size < 1:
-            raise PreconditionError(f"beam_size must be >= 1, got {self.beam_size}")
-        if self.rollouts_per_candidate < 1:
-            raise PreconditionError(
-                f"rollouts_per_candidate must be >= 1, got {self.rollouts_per_candidate}"
-            )
+        for name in _LIMITS:
+            if getattr(self, name) < 1:
+                raise PreconditionError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.temperature > 0 and math.isfinite(self.temperature)):
             raise PreconditionError(f"temperature must be finite > 0, got {self.temperature}")
         if self.lambda1 < 0 or not math.isfinite(self.lambda1):
@@ -294,12 +296,6 @@ class DecodeConfig:
             raise PreconditionError(
                 f"epsilon_stop must be finite >= 0, None, or -inf, got {self.epsilon_stop}"
             )
-        if self.max_steps < 1:
-            raise PreconditionError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.rollout_depth < 1:
-            raise PreconditionError(f"rollout_depth must be >= 1, got {self.rollout_depth}")
-        if self.max_step_tokens < 1:
-            raise PreconditionError(f"max_step_tokens must be >= 1, got {self.max_step_tokens}")
         if not (0 <= self.seed < 2**64):
             raise PreconditionError("seed must fit in 64 unsigned bits")
         if not self.step_delimiter:
@@ -310,12 +306,6 @@ class DecodeConfig:
             raise PreconditionError(
                 f"answer_pattern must be a regular expression, got {self.answer_pattern!r}: {exc}"
             ) from None
-        if self.rollout_samples < 1:
-            raise PreconditionError(f"rollout_samples must be >= 1, got {self.rollout_samples}")
-        if self.max_completion_tokens < 1:
-            raise PreconditionError(
-                f"max_completion_tokens must be >= 1, got {self.max_completion_tokens}"
-            )
         if self.selection not in SELECTIONS:
             raise PreconditionError(f"selection must be in {SELECTIONS}, got {self.selection!r}")
 

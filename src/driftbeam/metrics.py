@@ -13,7 +13,9 @@ table (applied to both prediction and gold, in order):
     3. drop surrounding quotes and a trailing period
     4. remove thousands separators in pure numbers ("1,234" -> "1234")
     5. canonical decimal form via exact Decimal arithmetic
-       ("4.0" -> "4", "0.50" -> "0.5", "+3" -> "3")
+       ("4.0" -> "4", "0.50" -> "0.5", "+3" -> "3"); a nonzero number
+       of magnitude 10**640 or more, or below 10**-639, takes its exact
+       exponent form instead ("10e4999" -> "1e+5000")
 """
 
 from __future__ import annotations
@@ -21,15 +23,20 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, field, fields
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DatasetError, DriftbeamError, PreconditionError
 
 _NUMERIC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _COMMA_NUMBER_RE = re.compile(r"[+-]?\d{1,3}(,\d{3})+(\.\d+)?")
+# str(int) writes this many digits under any interpreter's digit limit (640
+# is the lowest one can set). Past it a fixed form also grows with the
+# exponent, so larger and smaller magnitudes take the exponent form.
+_FIXED_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 def normalize_answer(text: str) -> str:
@@ -61,7 +68,10 @@ def _normalize_pass(text: str) -> str:
             value = Decimal(out)
         except InvalidOperation:
             return out
-        if value == value.to_integral_value():
+        if not value.is_zero() and abs(value.adjusted()) >= _FIXED_DIGITS:
+            exact = Context(prec=len(value.as_tuple().digits), Emax=MAX_EMAX, Emin=MIN_EMIN)
+            out = str(value.normalize(exact)).casefold()
+        elif value == value.to_integral_value():
             out = str(int(value.to_integral_value()))
         else:
             out = format(value.normalize(), "f")
@@ -157,10 +167,9 @@ class RunMetrics:
             object.__setattr__(self, name, value)
 
     @property
-    def accuracy_value(self) -> float:
-        if self.total == 0:
-            raise PreconditionError("accuracy of an empty run is undefined")
-        return self.correct / self.total
+    def accuracy_value(self) -> Optional[float]:
+        """correct / total, or None when no task was graded."""
+        return self.correct / self.total if self.total else None
 
     def to_dict(self) -> dict:
         """JSON-shaped: per_example is a list, as json.loads reads it back."""

@@ -3,10 +3,11 @@
 Configs are one YAML file with strict keys (unknown keys are errors, not
 silent typos). The config keys and their defaults are the dataclass
 fields: RunConfig at the top level, BackendSpec, DecodeConfig and PhiConfig
-for the backend, decode and phi sections. The endpoint and credentials of
-the HTTP backend can be overridden by DRIFTBEAM_BASE_URL / DRIFTBEAM_MODEL
-/ DRIFTBEAM_API_KEY; the auth token is never written back out by the
-serializer.
+for the backend, decode and phi sections; only method phi reads the phi
+section, and a missing one means PhiConfig() defaults. The endpoint and
+credentials of the HTTP backend can be overridden by DRIFTBEAM_BASE_URL /
+DRIFTBEAM_MODEL / DRIFTBEAM_API_KEY; the auth token is never written back
+out by the serializer.
 
 Seeding is two-level and documented: sweep run i uses base_seed + i, and
 instance j inside a run decodes with a 64-bit seed drawn from the
@@ -175,7 +176,9 @@ class BackendSpec:
         if self.kind == "synthetic":
             return SyntheticModel(task or self.base_task())
         if self.kind == "scripted":
-            return ScriptedModel(_cached_fixture(str(self.fixture)))
+            info = os.stat(self.fixture)
+            identity = (info.st_ino, info.st_mtime_ns, info.st_size)
+            return ScriptedModel(_cached_fixture(str(self.fixture), identity))
         from .backends.http import HttpCompletionsModel
 
         return HttpCompletionsModel(
@@ -190,9 +193,12 @@ class BackendSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_fixture(path: str) -> Mapping[str, tuple[StepSample, ...]]:
+def _cached_fixture(
+    path: str, identity: tuple[int, int, int]
+) -> Mapping[str, tuple[StepSample, ...]]:
     """A fixture's parsed, read-only sample queues, shared by every task of a
-    run; the raw records are not kept."""
+    run; the raw records are not kept. `identity` is the file's (inode,
+    mtime_ns, size), so a fixture rewritten at the same path is read anew."""
     return parse_fixture(load_fixture(path))
 
 
@@ -203,7 +209,6 @@ class RunConfig:
     workers: int = 1
     dataset: str = "synthetic:20"
     output_dir: Optional[str] = None
-    count_rollout_tokens: bool = True
     preset: Optional[str] = None
     backend: BackendSpec = field(default_factory=BackendSpec)
     decode: DecodeConfig = field(default_factory=DecodeConfig)
@@ -218,10 +223,6 @@ class RunConfig:
             raise PreconditionError(f"config seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
-        if self.method == "phi" and self.phi is None:
-            raise PreconditionError("method 'phi' requires a phi section")
-        if self.method != "phi" and self.phi is not None:
-            raise PreconditionError("phi section is only valid with method 'phi'")
         if self.preset is not None and self.preset not in PRESETS:
             raise PreconditionError(
                 f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}"
@@ -433,7 +434,8 @@ def execute_run(
     config: RunConfig,
     dataset: Optional[Sequence[TaskInstance]] = None,
 ) -> RunOutput:
-    """Run the configured method over every instance and aggregate.
+    """Run the configured method over every instance and aggregate; an
+    example's tokens are every token its decode generated, rollouts included.
 
     Failures are recorded per instance and skipped. Results are sorted by
     instance id before aggregation so the worker pool's scheduling cannot
@@ -469,15 +471,12 @@ def execute_run(
         if isinstance(outcome, Exception):
             failures.append((task_id, f"{type(outcome).__name__}: {outcome}"))
             continue
-        tokens = outcome.tokens_generated
-        if not config.count_rollout_tokens:
-            tokens -= outcome.rollout_tokens
         examples.append(
             PerExample(
                 task_id=task_id,
                 predicted=outcome.final_answer,
                 gold=by_id[task_id].gold_answer,
-                tokens=tokens,
+                tokens=outcome.tokens_generated,
                 stop_step=outcome.stop_step,
                 prune_count=outcome.prune_count,
             )

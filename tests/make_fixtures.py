@@ -2,20 +2,25 @@
 
 Run from the repository root:
 
-    python3 tests/make_fixtures.py
+    python3 tests/make_fixtures.py            # fixtures and goldens
+    python3 tests/make_fixtures.py --ledger   # tests/data/ledger.json only
 
 Fixtures are full scripted candidate trees (see fixture_specs.py); goldens
 are the canonical-JSON DecodeResult of each method on each fixture. Both
 are checked in; tests replay the fixtures and demand byte equality with
 the goldens, so regenerating after an intentional engine change is the
-only time this script should produce a diff.
+only time this script should produce a diff. The ledger is the exact cost
+of each method on the synthetic worlds (see cost_ledger.py); it is
+rewritten only on purpose, when a row is meant to change.
 """
 
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cost_ledger import LEDGER_PATH, compute_ledger  # noqa: E402
 from fixture_specs import (  # noqa: E402
     FIXTURE_DIR,
     GOLDEN_DIR,
@@ -39,6 +44,12 @@ def run_method(method: str, spec, records) -> bytes:
 
 
 def main() -> None:
+    if sys.argv[1:] == ["--ledger"]:
+        LEDGER_PATH.write_text(json.dumps(compute_ledger(), indent=1, sort_keys=True) + "\n")
+        print(f"{LEDGER_PATH.name}: written")
+        return
+    if sys.argv[1:]:
+        sys.exit("usage: make_fixtures.py [--ledger]")
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for spec in SPECS:

@@ -271,7 +271,8 @@ class TestSyntheticParseMemo:
         ("rollout", "depth must be >= 1, got 0"),
         ("complete", "max_tokens must be >= 1, got 0"),
     ])
-    @pytest.mark.parametrize("prefix", ["Pick.\n", "Pick.\nconsider arm B\n"])
+    @pytest.mark.parametrize("prefix", ["Pick.\n", "Pick.\nconsider arm B\n",
+                                        "Pick.\nAnswer: A", "Pick.\nconsider arm B\nAnswer: B"])
     def test_limit_below_one_raises_on_every_call_and_is_not_stored(self, kind, message,
                                                                       prefix):
         model = SyntheticModel(THREE_ARMS)

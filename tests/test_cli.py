@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from driftbeam.baselines import PhiConfig
 from driftbeam.cli import _build_config, build_parser, main
 from driftbeam.runner import ENV_BASE_URL
 
@@ -67,7 +68,6 @@ OVERRIDES = [
     (["--dataset", "synthetic:3"], "dataset", "synthetic:3"),
     (["--out", "runs/x"], "output_dir", "runs/x"),
     (["--workers", "3"], "workers", 3),
-    (["--exclude-rollout-tokens"], "count_rollout_tokens", False),
 ]
 
 
@@ -93,9 +93,16 @@ class TestOverrides:
         covered = {arg for argv, _, _ in OVERRIDES for arg in argv if arg.startswith("-")}
         assert option_strings("bench") - {"-h", "--help", "--config"} == covered
 
-    def test_phi_flags_ignored_unless_method_is_phi(self):
+    def test_phi_flags_ignored_unless_method_is_phi(self, capfd, tmp_path):
+        # A phi flag sets the phi section whatever the method; only phi reads it.
         config = _build_config(build_parser().parse_args(["bench", "--delta", "0.4"]))
-        assert config.method == "mfs" and config.phi is None
+        assert config.method == "mfs" and config.phi == PhiConfig(delta=0.4)
+        args = ["bench", "--dataset", "synthetic:3", "--seed", "8", *FAST]
+        _, plain, _ = run_cli(capfd, *args, "--out", str(tmp_path / "plain"))
+        _, flagged, _ = run_cli(capfd, *args, "--delta", "0.4", "--out", str(tmp_path / "phi"))
+        assert flagged == plain
+        for name in ("metrics.json", "traces.jsonl", "report.md", "report.json"):
+            assert (tmp_path / "phi" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestDecode:
@@ -331,12 +338,6 @@ class TestBench:
             assert failures == []
         assert (out_dir / "report.md").read_text().splitlines()[2].endswith(
             " | - | - | 0.000e+00 |")
-
-    def test_exclude_rollout_tokens(self, capfd):
-        args = ["bench", "--dataset", "synthetic:3", "--seed", "8", *FAST]
-        _, full, _ = run_cli(capfd, *args)
-        _, bare, _ = run_cli(capfd, *args, "--exclude-rollout-tokens")
-        assert json.loads(bare)["tokens_generated"] < json.loads(full)["tokens_generated"]
 
 
 class TestSweep:

@@ -68,6 +68,26 @@ class TestNormalization:
         once = normalize_answer(text)
         assert normalize_answer(once) == once
 
+    @pytest.mark.parametrize("raw, canonical", [
+        ("1e5000", "1e+5000"),
+        ("10e4999", "1e+5000"),
+        ("-1.50E700", "-1.5e+700"),
+        ("1e999999999", "1e+999999999"),
+        ("1e-999999999", "1e-999999999"),
+        ("0e5000", "0"),
+        ("1e639", "1" + "0" * 639),
+        ("1e-639", "0." + "0" * 638 + "1"),
+    ])
+    def test_extreme_numeral_takes_its_exponent_form(self, raw, canonical):
+        assert normalize_answer(raw) == canonical
+
+    @given(st.integers(1, 10**30), st.integers(-2000, 2000), st.integers(0, 4))
+    @settings(max_examples=200)
+    def test_equal_values_normalize_equal(self, mantissa, exponent, shift):
+        text = normalize_answer(f"{mantissa}e{exponent}")
+        assert text == normalize_answer(f"{mantissa * 10**shift}e{exponent - shift}")
+        assert normalize_answer(text) == text
+
 
 class TestFlops:
     def test_examples(self):
@@ -117,6 +137,14 @@ class TestRunMetrics:
         assert metrics.flops == 6 * 50 * 1_000_000
         assert metrics.correct == 1 and metrics.total == 2
         assert metrics.accuracy_value == pytest.approx(0.5)
+
+    def test_empty_run_has_no_accuracy(self):
+        assert RunMetrics((), model_params=10).accuracy_value is None
+
+    def test_extreme_numeral_is_graded(self):
+        metrics = RunMetrics([ex("t1", "10e4999", "1e5000"), ex("t2", "1e5000", "2e5000")],
+                             model_params=10)
+        assert (metrics.correct, metrics.total) == (1, 2)
 
     def test_grading_uses_normalization(self):
         metrics = RunMetrics(

@@ -91,7 +91,6 @@ config_mappings = st.fixed_dictionaries({}, optional={
     "workers": _values,
     "dataset": _values,
     "preset": _values,
-    "count_rollout_tokens": _values,
     "backend": _section(BackendSpec, _values) | json_values,
     "decode": _section(DecodeConfig, _values) | json_values,
     "phi": _section(PhiConfig, _values) | json_values,
@@ -163,11 +162,39 @@ class TestParseConfig:
         with pytest.raises(PreconditionError, match="auth_token"):
             parse_config({"backend": {"kind": "http", "auth_token": "x"}})
 
-    def test_phi_method_requires_phi_section(self):
-        with pytest.raises(PreconditionError, match="phi"):
-            parse_config({"method": "phi"})
-        with pytest.raises(PreconditionError, match="phi"):
-            parse_config({"method": "mfs", "phi": {"delta": 0.5}})
+    def test_phi_section_read_only_by_phi(self, tmp_path):
+        # No section means PhiConfig() defaults, as an empty section does.
+        assert parse_config({"method": "phi"}).phi is None
+        bare, empty = (execute_run(fast_config(seed=3, method="phi", **section))
+                       for section in ({}, {"phi": {}}))
+        assert bare.traces and [(tid, r.to_json()) for tid, r in bare.traces] == \
+            [(tid, r.to_json()) for tid, r in empty.traces]
+        # mfs accepts a phi section and ignores it.
+        for name, section in (("plain", {}), ("phi", {"phi": {"delta": 0.5}})):
+            execute_run(fast_config(seed=3, output_dir=str(tmp_path / name), **section))
+        for name in ("metrics.json", "traces.jsonl", "report.md", "report.json"):
+            assert (tmp_path / "phi" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("cls, values, message", [
+        (BackendSpec, {"kind": "grpc"},
+         "backend kind must be in ('synthetic', 'scripted', 'http'), got 'grpc'"),
+        (BackendSpec, {"model_params": 0}, "model_params must be > 0"),
+        (BackendSpec, {"model_params": -8}, "model_params must be > 0"),
+        (BackendSpec, {"kind": "scripted"}, "scripted backend requires a fixture path"),
+        (BackendSpec, {"kind": "http", "model": "m"}, "http backend requires base_url and model"),
+        (BackendSpec, {"kind": "http", "base_url": "http://h:1"},
+         "http backend requires base_url and model"),
+        (RunConfig, {"workers": 0}, "workers must be >= 1"),
+        *((DecodeConfig, {name: 0}, f"{name} must be >= 1, got 0") for name in (
+            "beam_size", "rollouts_per_candidate", "max_steps", "rollout_depth",
+            "max_step_tokens", "rollout_samples", "max_completion_tokens")),
+        (DecodeConfig, {"rollout_depth": -3}, "rollout_depth must be >= 1, got -3"),
+        (DecodeConfig, {"seed": -1}, "seed must fit in 64 unsigned bits"),
+        (DecodeConfig, {"seed": 2**64}, "seed must fit in 64 unsigned bits"),
+    ])
+    def test_rejection_names_its_field(self, cls, values, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            cls(**values)
 
     def test_epsilon_stop_accepts_yaml_string_science(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -212,6 +239,7 @@ class TestParseConfig:
             ("seed", "3"),
             ("workers", 2.0),
             ("workers", True),
+            # A key that is no longer a field is rejected whatever its value.
             ("count_rollout_tokens", "false"),
             ("count_rollout_tokens", 0),
             ("dataset", 123),
@@ -568,10 +596,12 @@ class TestExecuteRun:
         with pytest.raises(PreconditionError, match="method must be one of"):
             decode_with("beam", BackendSpec().make_model(), "P\n", DecodeConfig())
 
-    def test_rollout_token_exclusion(self):
-        with_rollouts = execute_run(fast_config(seed=5))
-        without = execute_run(fast_config(seed=5, count_rollout_tokens=False))
-        assert without.metrics.tokens_generated < with_rollouts.metrics.tokens_generated
+    def test_tokens_count_every_generated_token(self):
+        output = execute_run(fast_config(seed=5))
+        results = [result for _, result in output.traces]
+        assert [e.tokens for e in output.metrics.per_example] == \
+            [r.tokens_generated for r in results]
+        assert 0 < sum(r.rollout_tokens for r in results) < output.metrics.tokens_generated
 
     def test_failures_recorded_and_skipped(self, tmp_path):
         # Scripted fixture only serves task t1; t2's query has no entry.
@@ -735,15 +765,35 @@ class TestExecuteRun:
             }
         ])
         spec = BackendSpec(kind="scripted", fixture=str(fixture_path))
-        queues = _cached_fixture(str(fixture_path))
-        assert queues is _cached_fixture(str(fixture_path))
+        _cached_fixture.cache_clear()
+        first, second = spec.make_model(), spec.make_model()
+        assert first is not second
+        info = fixture_path.stat()
+        queues = _cached_fixture(str(fixture_path), (info.st_ino, info.st_mtime_ns, info.st_size))
+        assert _cached_fixture.cache_info()[:2] == (2, 1)  # hits, misses
         assert queues == {fixture_key("complete", "P1\n"): (
             StepSample("Answer: 4", (-0.1,), FINISH_EOS),
         )}
-        first, second = spec.make_model(), spec.make_model()
-        assert first is not second
         for model in (first, second):
             assert model.complete("P1\n", 8, None).text == "Answer: 4"
+
+    def test_fixture_rewritten_at_the_same_path_is_read_anew(self, tmp_path):
+        dataset_path, fixture_path = tmp_path / "tasks.jsonl", tmp_path / "fx.jsonl"
+        dataset_path.write_text('{"id": "t1", "prompt": "P\\n", "answer": "A"}\n')
+        config = parse_config({
+            "method": "ar-cot",
+            "dataset": str(dataset_path),
+            "backend": {"kind": "scripted", "fixture": str(fixture_path)},
+        })
+        for answer, logprobs in (("A", [-0.1]), ("B", [-0.25, -0.5])):
+            save_fixture(fixture_path, [{
+                "prefix_hash": fixture_key("complete", "P\n"),
+                "text": f"Answer: {answer}",
+                "logprobs": logprobs,
+                "finish_reason": "end-of-sequence",
+            }])
+            (example,) = execute_run(config).metrics.per_example
+            assert (example.predicted, example.tokens) == (answer, len(logprobs))
 
     def test_synthetic_dataset_needs_synthetic_backend(self, tmp_path):
         fixture_path = tmp_path / "fx.jsonl"
